@@ -26,7 +26,7 @@ class CoverGraph:
 def cover_graph(g: WeylGroup) -> CoverGraph:
     g.require_enumerated()
     if g._covers_upper is None:
-        reflections = _reflection_perms(g)
+        reflections = [g._root_action_perm(alpha) for alpha in g.positive_roots]
         upper: list[list[int]] = [[] for _ in range(g.order)]
         lower: list[list[int]] = [[] for _ in range(g.order)]
         for i, p in enumerate(g._perms):
@@ -42,23 +42,6 @@ def cover_graph(g: WeylGroup) -> CoverGraph:
                 row.sort()
         g._covers_upper, g._covers_lower = upper, lower
     return CoverGraph(g, g._covers_upper, g._covers_lower)
-
-
-def _reflection_perms(g: WeylGroup):
-    from .cartan import reflect
-
-    index = {r: i for i, r in enumerate(g.positive_roots)}
-    perms = []
-    for alpha in g.positive_roots:
-        out = []
-        for beta in g.positive_roots:
-            gamma = reflect(beta, alpha)
-            if gamma in index:
-                out.append(index[gamma] + 1)
-            else:
-                out.append(-(index[tuple(-c for c in gamma)] + 1))
-        perms.append(tuple(out))
-    return perms
 
 
 def down_masks(g: WeylGroup) -> list[int]:
@@ -100,10 +83,6 @@ def leq(u: Element, v: Element) -> bool:
     if g.enumerated:
         return bool(down_masks(g)[v.index] >> u.index & 1)
     return _leq_recursive(g, u.perm, v.perm)
-
-
-def leq_index(g: WeylGroup, ui: int, vi: int) -> bool:
-    return bool(down_masks(g)[vi] >> ui & 1)
 
 
 def _leq_recursive(g: WeylGroup, pu, pv) -> bool:

@@ -82,7 +82,11 @@ def _table(g: WeylGroup, args) -> KLTable:
             t = kl_table(g)
         _TABLE_CACHE[key] = t
     if cache and not os.path.exists(cache):
-        save_table(t, cache)
+        try:
+            save_table(t, cache)
+        except OSError as exc:
+            print(f"warning: cannot write cache {cache}: {exc.strerror or exc}",
+                  file=sys.stderr)
     return t
 
 
@@ -161,7 +165,7 @@ def _cmd_nonkostant(args) -> int:
     g = _group(args)
     S = _parse_singular(args.singular)
     t = _table(g, args)
-    bad = nonkostant_block(g, S, t, threads=args.threads)
+    bad = nonkostant_block(g, S, t)
     flags = []
     if args.format == "json":
         badset = set(bad)
@@ -318,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", "-f", default="text",
                        choices=["text", "json"] + (["dot"] if stage else []))
         p.add_argument("--cache", help="path to a polynomial table cache file")
-        p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("nonkostant", help="list non-Kostant elements of a block")
     common(p)

@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 
 from .bruhat import iter_indices, leq, up_masks, upper_covers
 from .errors import DomainError
-from .klpoly import IntPolynomial, KLTable, klv_dominant
-from .mobius import mobius_lambda, support_X
+from .klpoly import KLTable, _dominant_sum
+from .mobius import _mobius_row, support_X
 from .parabolic import (
     SingularBlock,
     _intersection_pairs,
     complementary_singularity,
-    kostant_decompose,
     make_block,
 )
 from .weyl import Element, WeylGroup
@@ -53,7 +52,7 @@ class ComplexSkeleton:
         return [v for v, _ in self.vertices]
 
 
-def _edge_key(sk_base_length: int, e: SkeletonEdge):
+def _edge_key(e: SkeletonEdge):
     return (e.target.length, e.target.reduced_word(), e.source.reduced_word())
 
 
@@ -69,7 +68,7 @@ def regular_skeleton(g: WeylGroup, w: Element) -> ComplexSkeleton:
         for xp in upper_covers(x):
             edges.append(SkeletonEdge(source=xp, target=x, kind="morphism"))
     verts.sort(key=lambda p: (p[1], p[0].reduced_word()))
-    edges.sort(key=lambda e: _edge_key(lw, e))
+    edges.sort(key=_edge_key)
     return ComplexSkeleton(base=w, block=b, vertices=verts, edges=edges, kind="regular")
 
 
@@ -77,10 +76,10 @@ def translate_skeleton(sk: ComplexSkeleton, b: SingularBlock) -> ComplexSkeleton
     """Mark same-coset arrows as equality edges; vertices unchanged."""
     if sk.kind != "regular":
         raise DomainError(f"translation applies to regular skeletons, got {sk.kind}")
-    coset_id = {v: kostant_decompose(v, b)[0] for v in sk.elements()}
+    coset_of = b._coset_of
     edges = []
     for e in sk.edges:
-        if coset_id[e.source] == coset_id[e.target]:
+        if coset_of[e.source.index] == coset_of[e.target.index]:
             edges.append(replace(e, kind="equality", sign=None))
         else:
             edges.append(e)
@@ -97,9 +96,9 @@ def cut_equalities(sk: ComplexSkeleton) -> ComplexSkeleton:
         raise DomainError(f"cut applies to translated skeletons, got {sk.kind}")
     b = sk.block
     w = sk.base
-    cosets: dict[Element, list[Element]] = {}
+    cosets: dict[int, list[Element]] = {}
     for v in sk.elements():
-        cosets.setdefault(kostant_decompose(v, b)[0], []).append(v)
+        cosets.setdefault(b._coset_of[v.index], []).append(v)
     survivors = []
     for members in cosets.values():
         if len(members) == 1:
@@ -214,29 +213,28 @@ def is_kostant(w: Element, b: SingularBlock, t: KLTable) -> bool:
     singular polynomial must be the constant |Möbius value|."""
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
-    g = b.group
-    for xi in iter_indices(up_masks(g)[w.index] & b._maxrep_mask):
-        x = g.element_by_index(xi)
-        m = abs(mobius_lambda(w, x, b))
-        p = klv_dominant(t, b, w, x)
-        if p != (IntPolynomial((m,)) if m else IntPolynomial()):
+    return _is_kostant_index(w.index, b, t)
+
+
+def _is_kostant_index(wi: int, b: SingularBlock, t: KLTable) -> bool:
+    """is_kostant on element indices: |mu(w, x)| is 0 or 1 on the block poset."""
+    zi = b.group.rmul_w0_indices()[wi]
+    terms = b._dominant_terms
+    for xi, nonzero in _mobius_row(b, wi):
+        if _dominant_sum(t, terms[xi], zi) != ((1,) if nonzero else ()):
             return False
     return True
 
 
-def nonkostant_block(g: WeylGroup, S, t: KLTable, threads: int | None = None):
-    """All longest representatives whose singular complex is not exact."""
+def nonkostant_block(g: WeylGroup, S, t: KLTable) -> list[Element]:
+    """All longest representatives whose singular complex is not exact,
+    sorted by (length, ShortLex word)."""
     b = make_block(g, S)
-    reps = b.max_reps
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(lambda w: is_kostant(w, b, t), reps))
-        bad = [w for w, ok in zip(reps, flags) if not ok]
-    else:
-        bad = [w for w in reps if not is_kostant(w, b, t)]
-    return sorted(bad)
+    return [
+        g.element_by_index(wi)
+        for wi in b._maxrep_indices
+        if not _is_kostant_index(wi, b, t)
+    ]
 
 
 def dominant_support(b: SingularBlock) -> set[Element]:

@@ -4,8 +4,9 @@ The full table is computed bottom-up in length order with the standard
 recursion.  Storage is sparse: only polynomials other than 0 and 1 are kept
 explicitly; the 0/1 distinction is read off the Bruhat-order bitmasks.  The
 singular variants are alternating sums of ordinary entries over a parabolic
-subgroup, and the dominant-side wrapper conjugates the singularity set by
-the longest element.
+subgroup.  The dominant-side variant, the one the exactness test reads, is
+the same sum for the singularity set conjugated by the longest element; it
+runs over the block's precomputed index terms.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import struct
 
 from .bruhat import down_masks, iter_indices, leq
 from .errors import DomainError, InputError
-from .parabolic import SingularBlock, make_block
-from .weyl import Element, WeylGroup, _compose, _invert
+from .parabolic import SingularBlock
+from .weyl import Element, WeylGroup, _compose
 
 Coeffs = tuple[int, ...]
 
@@ -218,34 +219,43 @@ def klv_polynomial(
     return IntPolynomial(acc)
 
 
-def _dominant_side_block(b: SingularBlock) -> SingularBlock:
-    """Block for the singularity set conjugated by the longest element."""
-    g = b.group
-    if g._w0_conj_gens is None:
-        w0 = g.longest_element().perm
-        table = []
-        for gp in g.generator_perms:
-            p = _compose(_compose(w0, gp), _invert(w0))
-            table.append(next(i for i, hp in enumerate(g.generator_perms) if hp == p))
-        g._w0_conj_gens = table
-    sigma = g._w0_conj_gens
-    return make_block(g, frozenset(sigma[i - 1] + 1 for i in b.S))
-
-
 def klv_dominant(
     t: KLTable, b: SingularBlock, w: Element, x: Element
 ) -> IntPolynomial:
     """The exactness-test polynomial for the pair (w, x) of longest
     representatives: the singular polynomial at arguments (x w0, w w0) for
-    the conjugated singularity."""
+    the singularity set conjugated by w0."""
     for e in (w, x):
         if not b.contains_max_rep(e):
             raise DomainError(f"{e!r} is not a longest coset representative")
     if not leq(w, x):
         raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
-    g = b.group
-    w0 = g.longest_element()
-    return klv_polynomial(t, _dominant_side_block(b), x * w0, w * w0)
+    zi = b.group.rmul_w0_indices()[w.index]
+    return IntPolynomial(_dominant_sum(t, b._dominant_terms[x.index], zi))
+
+
+def _dominant_sum(t: KLTable, terms, zi: int) -> Coeffs:
+    """Signed sum of P_{y, z} over the (y, sign) terms of a longest
+    representative (see SingularBlock), trimmed.
+
+    This is the scan's inner loop, so it reads the table directly: entries 1
+    are summed as integers and only stored polynomials as tuples.
+    """
+    down_z = t._down[zi]
+    poly = t._poly
+    const = 0
+    acc: Coeffs = ()
+    for yi, sign in terms:
+        if not down_z >> yi & 1:
+            continue
+        p = poly.get((yi, zi))
+        if p is None:
+            const += sign
+        else:
+            acc = _padd(acc, p) if sign > 0 else _psub(acc, p)
+    if acc:
+        return _ptrim((acc[0] + const,) + acc[1:])
+    return (const,) if const else ()
 
 
 # -- binary cache ---------------------------------------------------------------
@@ -278,9 +288,22 @@ def save_table(t: KLTable, path) -> None:
 
 
 def load_table(g: WeylGroup, path) -> KLTable:
-    """Read a table cache and validate its header and order bitset against g."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a table cache and validate its header and order bitset against g.
+
+    A file that cannot be read or decoded raises InputError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read cache: {exc.strerror or exc}") from None
+    try:
+        return _decode_table(g, path, data)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: truncated or corrupt cache file ({exc})") from None
+
+
+def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
     if data[:4] != _MAGIC:
         raise InputError(f"{path}: not a polynomial table cache")
     fam = data[4:5].decode("ascii")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bruhat import interval_mask, iter_indices, leq
+from .bruhat import down_masks, iter_indices, leq, up_masks
 from .errors import DomainError
 from .parabolic import SingularBlock
 from .weyl import Element
@@ -48,16 +48,34 @@ def mobius_lambda(w: Element, x: Element, b: SingularBlock) -> int:
     for u in (w, x):
         if not b.contains_max_rep(u):
             raise DomainError(f"{u!r} is not a longest coset representative")
-    if w == x:
-        return 1
     if not leq(w, x):
         return 0
     g = b.group
     wi, xi = w.index, x.index
-    interior = interval_mask(g, wi, xi) & ~(1 << wi) & ~(1 << xi)
-    if interior & ~b._maxrep_mask:
+    if not _mobius_nonzero(up_masks(g)[wi] & ~b._maxrep_mask, down_masks(g)[xi]):
         return 0
     return -1 if (x.length - w.length) % 2 else 1
+
+
+def _mobius_nonzero(outside: int, down_x: int) -> bool:
+    """|mu(w, x)| for longest representatives w <= x, as a bool.
+
+    ``outside`` masks the elements above w that are not longest
+    representatives and ``down_x`` the elements below x; both endpoints lie
+    in the block, so an interior element outside it is any common bit.
+    """
+    return not outside & down_x
+
+
+def _mobius_row(b: SingularBlock, wi: int):
+    """(xi, mu(w, x) != 0) for the longest representatives x >= w = w_wi,
+    in increasing index order."""
+    g = b.group
+    up = up_masks(g)[wi]
+    down = down_masks(g)
+    outside = up & ~b._maxrep_mask
+    for xi in iter_indices(up & b._maxrep_mask):
+        yield xi, _mobius_nonzero(outside, down[xi])
 
 
 @dataclass
@@ -81,18 +99,16 @@ def support_X(w: Element, b: SingularBlock) -> GradedSupport:
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
     g = b.group
-    from .bruhat import up_masks
-
-    candidates = up_masks(g)[w.index] & b._maxrep_mask
+    lengths = g._lengths
+    lw = w.length
     by_level: dict[int, list[Element]] = {}
-    for xi in iter_indices(candidates):
-        x = g.element_by_index(xi)
-        if mobius_lambda(w, x, b) != 0:
-            by_level.setdefault(x.length - w.length, []).append(x)
+    for xi, nonzero in _mobius_row(b, w.index):
+        if nonzero:  # index order is the Element order, so strata come sorted
+            by_level.setdefault(lengths[xi] - lw, []).append(g.element_by_index(xi))
     top = max(by_level)
     strata = []
     for i in range(top + 1):
         if i not in by_level:
             raise AssertionError(f"support of {w!r} has an empty stratum at {i}")
-        strata.append(sorted(by_level[i]))
+        strata.append(by_level[i])
     return GradedSupport(base=w, strata=strata, block=b)

@@ -4,7 +4,9 @@ A singularity set S of simple-root indices generates the parabolic subgroup
 W_lambda.  The block object carries the minimal coset representatives
 (no reduced expression ends in a singular reflection), the longest ones
 (minimal representatives times the longest element of W_lambda), and the
-right-coset analogues obtained by inversion.
+right-coset analogues obtained by inversion.  It also keeps two O(|W|)
+index tables for the exactness scan: the coset of every element and the
+dominant-side terms of every longest representative.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from fractions import Fraction
 from .bruhat import leq
 from .cartan import CartanType, dot
 from .errors import DomainError, InputError
-from .weyl import Element, WeylGroup, _compose
+from .weyl import Element, WeylGroup
+
+
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 class SingularBlock:
@@ -24,42 +33,53 @@ class SingularBlock:
         g.require_enumerated()
         self.group = g
         self.S = S
+        lengths = g._lengths
 
-        gens0 = sorted(i - 1 for i in S)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for s in gens0:
-                j = g.rmul_index(s, i)
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        self._wlambda_indices = sorted(seen)
-        self._wlambda_mask = 0
-        for i in seen:
-            self._wlambda_mask |= 1 << i
-        self._w0_lambda_idx = max(seen, key=lambda i: g._lengths[i])
+        # coset_of[i]: index of the minimal representative of w_i W_lambda.
+        # A right descent s in S gives w_i = w_j s with j < i in the same coset.
+        rmuls = [g._rmul[s - 1] for s in sorted(S)]
+        coset_of = list(range(g.order))
+        for i in range(g.order):
+            for rmul in rmuls:
+                j = rmul[i]
+                if j < i:
+                    coset_of[i] = coset_of[j]
+                    break
+        self._coset_of = coset_of
+        cosets: dict[int, list[int]] = {}  # in increasing index order
+        for i, m in enumerate(coset_of):
+            cosets.setdefault(m, []).append(i)
 
-        # minimal representatives: no right descent inside S
-        minrep = []
-        for i, p in enumerate(g._perms):
-            if all(p[s] > 0 for s in gens0):
-                minrep.append(i)
-        self._minrep_indices = minrep
-        self._minrep_mask = 0
-        for i in minrep:
-            self._minrep_mask |= 1 << i
+        self._wlambda_indices = cosets[0]
+        self._wlambda_mask = _mask(cosets[0])
+        self._w0_lambda_idx = cosets[0][-1]
+        self._minrep_indices = sorted(cosets)
+        self._minrep_mask = _mask(self._minrep_indices)
 
-        w0l = g._perms[self._w0_lambda_idx]
-        self._maxrep_indices = sorted(
-            g._index[_compose(g._perms[i], w0l)] for i in minrep
-        )
-        self._maxrep_mask = 0
-        for i in self._maxrep_indices:
-            self._maxrep_mask |= 1 << i
+        # The longest element of a coset has the largest index in it.
+        l0 = lengths[self._w0_lambda_idx]
+        self._maxrep_indices = sorted(cosets[m][-1] for m in self._minrep_indices)
+        self._maxrep_mask = _mask(self._maxrep_indices)
 
-        self._right_min_indices = sorted(g._inv[i] for i in minrep)
+        # Dominant-side terms of each longest representative x: the singular
+        # polynomial for (w, x) is the sum over z in x W_lambda of
+        # (-1)^(l(x)-l(z)) P_{z w0, w w0}.  Written as z = m u with m minimal,
+        # the sign is (-1)^(l(u) + l(w0_lambda)), not (-1)^l(u).
+        rw0 = g.rmul_w0_indices()
+        self._dominant_terms: dict[int, tuple[tuple[int, int], ...]] = {}
+        for m in self._minrep_indices:
+            members = cosets[m]
+            xi = members[-1]
+            lx = lengths[xi]
+            if lx != lengths[m] + l0:
+                raise AssertionError(
+                    "coset lengths are not additive over W_lambda"
+                )
+            self._dominant_terms[xi] = tuple(
+                (rw0[z], -1 if (lx - lengths[z]) % 2 else 1) for z in members
+            )
+
+        self._right_min_indices = sorted(g._inv[i] for i in self._minrep_indices)
         self._right_max_indices = sorted(g._inv[i] for i in self._maxrep_indices)
 
     # -- element views (sorted by (length, ShortLex word) = index order) ------
@@ -131,6 +151,11 @@ def kostant_decompose(v: Element, b: SingularBlock) -> tuple[Element, Element]:
         tail = s * tail
 
 
+def _component(v: Element, b: SingularBlock) -> Element:
+    """The W_lambda factor of kostant_decompose(v, b), read off the coset table."""
+    return b.group.element_by_index(b._coset_of[v.index]).inverse() * v
+
+
 def coset_extremum(
     w: Element, x: Element, b: SingularBlock, direction: str
 ) -> Element:
@@ -174,14 +199,14 @@ def _intersection_pairs(
     minima = [z for z in members if not any(leq(t, z) and z != t for t in members)]
     if len(minima) != 1:
         raise AssertionError("intersection has no unique minimum")
-    x_min, y = kostant_decompose(minima[0], b)
+    y = _component(minima[0], b)
 
     choices = [s for s in sorted(b.S) if (g.generator(s) * y).length > y.length]
     if not choices:
         raise DomainError("intersection is a singleton; nothing to pair")
     s = g.generator(choices[0])
 
-    by_component = {kostant_decompose(z, b)[1]: z for z in members}
+    by_component = {_component(z, b): z for z in members}
     pairs = []
     done = set()
     for t, z in sorted(by_component.items()):

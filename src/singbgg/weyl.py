@@ -87,7 +87,8 @@ class WeylGroup:
         self._down_masks: list[int] | None = None
         self._up_masks: list[int] | None = None
         self._blocks: dict[frozenset[int], object] = {}
-        self._w0_conj_gens: list[int] | None = None
+        self._w0_perm: Perm | None = None
+        self._rw0: list[int] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -105,6 +106,7 @@ class WeylGroup:
         return tuple(out)
 
     def _enumerate(self) -> None:
+        n_pos = len(self.positive_roots)
         gens = self.generator_perms
         seen = {self.identity_perm}
         frontier = [self.identity_perm]
@@ -126,6 +128,8 @@ class WeylGroup:
         self._lengths: list[int] = [l for l, _, _ in decorated]
         self._words: list[tuple[int, ...]] = [w for _, w, _ in decorated]
         self._index: dict[Perm, int] = {p: i for i, p in enumerate(self._perms)}
+        if self._lengths[-1] != n_pos or self._lengths[-2] == n_pos:
+            raise AssertionError("the last index is not the unique longest element")
         n = self.order
         self._inv: list[int] = [self._index[_invert(p)] for p in self._perms]
         self._rmul: list[list[int]] = [
@@ -164,7 +168,7 @@ class WeylGroup:
             raise BudgetError(
                 f"group {self.cartan} has {self.order} elements, above the "
                 f"budget of {self.budget}; raise BGG_ELEMENT_BUDGET to enable "
-                f"full-table operations (consider sharding the workload)"
+                f"full-table operations"
             )
 
     @property
@@ -187,15 +191,24 @@ class WeylGroup:
         return Element(self, p)
 
     def longest_element(self) -> "Element":
-        """The unique element of maximal length (greedy ascent, no table needed)."""
-        p = self.identity_perm
-        while True:
-            for s, gp in enumerate(self.generator_perms):
-                if p[s] > 0:  # l(w s) > l(w): alpha_s not sent negative
-                    p = _compose(p, gp)
+        """The unique element of maximal length, computed once per group.
+
+        It is the last index of an enumerated group; otherwise it is found by
+        greedy ascent, which needs no table.
+        """
+        if self._enumerated:
+            return self.element_by_index(self.order - 1)
+        if self._w0_perm is None:
+            p = self.identity_perm
+            while True:
+                for s, gp in enumerate(self.generator_perms):
+                    if p[s] > 0:  # l(w s) > l(w): alpha_s not sent negative
+                        p = _compose(p, gp)
+                        break
+                else:
                     break
-            else:
-                return Element(self, p)
+            self._w0_perm = p
+        return Element(self, self._w0_perm)
 
     def element_by_index(self, i: int) -> "Element":
         self.require_enumerated()
@@ -225,6 +238,14 @@ class WeylGroup:
 
     def rmul_index(self, s: int, i: int) -> int:
         return self._rmul[s][i]
+
+    def rmul_w0_indices(self) -> list[int]:
+        """rmul_w0_indices()[i] is the index of w_i * w0 (built on first use)."""
+        self.require_enumerated()
+        if self._rw0 is None:
+            w0 = self._perms[-1]
+            self._rw0 = [self._index[_compose(p, w0)] for p in self._perms]
+        return self._rw0
 
 
 @total_ordering
@@ -284,7 +305,13 @@ class Element:
         )
 
     def __lt__(self, other: "Element") -> bool:
-        """Deterministic (length, ShortLex word) order; not the Bruhat order."""
+        """Deterministic (length, ShortLex word) order; not the Bruhat order.
+
+        In an enumerated group this is the index order.
+        """
+        g = self.group
+        if other.group is g and g._enumerated:
+            return self.index < other.index
         return (self.length, self.reduced_word()) < (other.length, other.reduced_word())
 
     def __hash__(self) -> int:
@@ -304,28 +331,6 @@ def build_group(cartan: CartanType, budget: int | None = None) -> WeylGroup:
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = WeylGroup(cartan, budget=key[2])
     return _GROUP_CACHE[key]
-
-
-# Functional aliases mirroring the operation names used throughout the docs.
-
-def from_word(g: WeylGroup, word) -> Element:
-    return g.from_word(word)
-
-
-def reduced_word(w: Element) -> tuple[int, ...]:
-    return w.reduced_word()
-
-
-def multiply(u: Element, v: Element) -> Element:
-    return u * v
-
-
-def inverse(w: Element) -> Element:
-    return w.inverse()
-
-
-def left_descents(w: Element) -> set[int]:
-    return w.left_descents()
 
 
 def longest_element(g: WeylGroup) -> Element:

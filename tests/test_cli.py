@@ -145,3 +145,33 @@ def test_cache_flag(tmp_path, capsys):
     code, out2, _ = run(capsys, "nonkostant", "-t", "A", "-r", "3",
                         "-s", "2", "--cache", str(cache))
     assert code == 0 and out1 == out2
+
+
+def test_cache_in_missing_directory_still_answers(tmp_path, capsys):
+    import singbgg.cli as cli
+    cli._TABLE_CACHE.clear()
+    cache = tmp_path / "missing" / "a3.klv"
+    code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
+                         "-s", "2", "--cache", str(cache))
+    assert (code, out) == (0, "(2)\n")
+    assert "warning" in err and not cache.exists()
+
+
+def test_corrupt_cache_exit_2(tmp_path, capsys):
+    import singbgg.cli as cli
+    cache = tmp_path / "a3.klv"
+    run(capsys, "nonkostant", "-t", "A", "-r", "3", "-s", "2",
+        "--cache", str(cache))
+    cache.write_bytes(cache.read_bytes()[:20])
+    cli._TABLE_CACHE.clear()
+    code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
+                         "-s", "2", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
+def test_threads_option_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nonkostant", "-t", "A", "-r", "3", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -5,12 +5,16 @@ import pytest
 import properties
 from helpers import all_singularities, get_group, get_table
 from singbgg import (
+    IntPolynomial,
     assign_signs,
     cut_equalities,
     dominant_support,
     is_kostant,
+    klv_dominant,
+    klv_polynomial,
     leq,
     make_block,
+    mobius_oracle,
     nonkostant_block,
     regular_skeleton,
     s_category_has_bgg,
@@ -231,4 +235,52 @@ def test_nonkostant_sorted_deterministic():
     t = get_table("B", 3)
     out = nonkostant_block(g, {1, 2}, t)
     assert out == sorted(out)
-    assert out == nonkostant_block(g, {1, 2}, t, threads=4)
+
+
+def _w0_conjugate(g, S):
+    """sigma(S): the singularity set conjugated by the longest element."""
+    w0 = g.longest_element()
+    gens = [g.generator(i) for i in range(1, g.rank + 1)]
+    return frozenset(gens.index(w0 * g.generator(i) * w0) + 1 for i in S)
+
+
+def _nonkostant_oracle(g, S, t):
+    """Element-level definition: w is Kostant iff for every longest
+    representative x >= w the singular polynomial at (x w0, w w0) for the
+    conjugated singularity is the constant |mu(w, x)| of the block poset,
+    with mu computed by the generic recursion."""
+    b = make_block(g, S)
+    b_dom = make_block(g, _w0_conjugate(g, S))
+    w0 = g.longest_element()
+    reps = b.max_reps
+    bad = []
+    for w in reps:
+        for x in reps:
+            if not leq(w, x):
+                continue
+            m = abs(mobius_oracle(reps, leq, w, x))
+            if klv_polynomial(t, b_dom, x * w0, w * w0) != IntPolynomial((m,)):
+                bad.append(w)
+                break
+    return bad
+
+
+def test_nonkostant_matches_element_oracle():
+    for fam in ("A", "B", "C"):
+        g = get_group(fam, 3)
+        t = get_table(fam, 3)
+        for S in all_singularities(3):
+            assert nonkostant_block(g, S, t) == _nonkostant_oracle(g, S, t), (fam, S)
+
+
+def test_klv_dominant_matches_conjugated_block():
+    g = get_group("B", 3)
+    t = get_table("B", 3)
+    S = frozenset({1, 2})
+    b = make_block(g, S)
+    b_dom = make_block(g, _w0_conjugate(g, S))
+    w0 = g.longest_element()
+    pairs = [(w, x) for w in b.max_reps for x in b.max_reps if leq(w, x)]
+    assert len(pairs) > len(b.max_reps)
+    for w, x in pairs:
+        assert klv_dominant(t, b, w, x) == klv_polynomial(t, b_dom, x * w0, w * w0)

@@ -170,3 +170,35 @@ def test_cache_validation(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(InputError):
         load_table(g, bad)
+
+
+def test_truncated_cache_rejected(tmp_path):
+    g = get_group("B", 3)
+    path = tmp_path / "b3.klv"
+    save_table(get_table("B", 3), path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.klv"
+    # every prefix, so every header field, entry and bitset boundary
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(InputError):
+            load_table(g, cut)
+
+
+def test_corrupt_family_byte_rejected(tmp_path):
+    g = get_group("B", 3)
+    path = tmp_path / "b3.klv"
+    save_table(get_table("B", 3), path)
+    data = bytearray(path.read_bytes())
+    data[4] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(InputError):
+        load_table(g, path)
+
+
+def test_unreadable_cache_rejected(tmp_path):
+    g = get_group("B", 3)
+    with pytest.raises(InputError):
+        load_table(g, tmp_path / "missing.klv")
+    with pytest.raises(InputError):
+        load_table(g, tmp_path)  # a directory

@@ -60,6 +60,41 @@ def test_longest_element():
         assert max(w.length for w in g.elements()) == w0.length
 
 
+def test_longest_element_is_last_index():
+    for fam, rank in [("A", 4), ("B", 4), ("D", 4), ("F", 4)]:
+        g = get_group(fam, rank)
+        w0 = g.longest_element()
+        assert w0.index == g.order - 1
+        assert all(a < 0 for a in w0.perm)  # every positive root sent negative
+        assert g.longest_element() == w0
+
+
+def test_longest_element_without_enumeration():
+    small = build_group(CartanType("B", 3), budget=10)
+    assert not small.enumerated
+    assert small.longest_element().perm == get_group("B", 3).longest_element().perm
+    e6 = build_group(CartanType("E", 6))
+    assert e6.longest_element().length == len(e6.positive_roots) == 36
+
+
+def test_rmul_w0_indices():
+    g = get_group("B", 3)
+    w0 = g.longest_element()
+    rw0 = g.rmul_w0_indices()
+    assert rw0 == [(w * w0).index for w in g.elements()]
+
+
+def test_element_order_matches_index_order():
+    g = get_group("B", 3)
+    els = g.elements()
+    rev = list(reversed(els))
+    assert sorted(rev) == els
+    assert sorted(rev, key=lambda w: (w.length, w.reduced_word())) == els
+    small = build_group(CartanType("B", 3), budget=10)  # not enumerated
+    ws = [small.from_word(w.reduced_word()) for w in rev]
+    assert [w.perm for w in sorted(ws)] == [w.perm for w in els]
+
+
 def test_inverse_and_multiplication():
     g = get_group("B", 3)
     for w in g.elements()[:20]:
