@@ -11,7 +11,14 @@ runs over the block's precomputed index terms.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import os
 import struct
+import sys
+import tempfile
+import zlib
+from array import array
 
 from .bruhat import down_masks, iter_indices, leq
 from .errors import DomainError, InputError
@@ -259,36 +266,84 @@ def _dominant_sum(t: KLTable, terms, zi: int) -> Coeffs:
 
 
 # -- binary cache ---------------------------------------------------------------
+#
+# Layout (little-endian):
+#   "KLV2", family (1 ASCII byte), rank (u8), order n (u32),
+#   SHA-256 of the order rows down_masks(g)[i] as (n + 7) // 8 bytes each,
+#   CRC32 of the payload (u32), then the payload:
+#   n_polys (u32), n_entries (u32),
+#   the pool: each distinct stored polynomial once, as degree (u8) and
+#   degree + 1 int32 coefficients,
+#   three u32 arrays of n_entries each, y, w and the pool index, sorted by (w, y).
 
-_MAGIC = b"KLV1"
+_MAGIC = b"KLV2"
+_OLD_MAGICS = (b"KLV1",)
+_HEADER = struct.Struct("<4scBI32sI")
+_U32 = "I"
+
+
+def _order_digest(g: WeylGroup) -> bytes:
+    """SHA-256 of the Bruhat order in g's element indexing."""
+    nbytes = (g.order + 7) // 8
+    h = hashlib.sha256()
+    for m in down_masks(g):
+        h.update(m.to_bytes(nbytes, "little"))
+    return h.digest()
+
+
+def _u32_bytes(values) -> bytes:
+    a = array(_U32, values)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tobytes()
+
+
+def _u32_array(data: bytes, off: int, count: int) -> array:
+    a = array(_U32)
+    if a.itemsize != 4:
+        raise AssertionError(f"array typecode {_U32!r} is not 4 bytes wide")
+    a.frombytes(data[off:off + 4 * count])
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a
 
 
 def save_table(t: KLTable, path) -> None:
-    """Serialize the sparse table; see load_table for the layout."""
+    """Serialize the sparse table; see the layout above.
+
+    The file is written under a temporary name in the target's directory and
+    renamed over path, so a failed save never leaves a partial cache.
+    """
     g = t.group
-    n = g.order
-    out = bytearray()
-    out += _MAGIC
-    out += g.cartan.family.encode("ascii")
-    out += struct.pack("<BI", g.rank, n)
-    entries = sorted(t._poly.items())
-    out += struct.pack("<I", len(entries))
-    for (yi, wi), p in entries:
-        out += struct.pack(f"<IIB{len(p)}i", yi, wi, len(p) - 1, *p)
-    bits = bytearray((n * n + 7) // 8)
-    down = t._down
-    for wi in range(n):
-        m = down[wi]
-        for yi in iter_indices(m):
-            pos = yi * n + wi
-            bits[pos >> 3] |= 1 << (pos & 7)
-    out += bytes(bits)
-    with open(path, "wb") as fh:
-        fh.write(out)
+    pool: dict[Coeffs, int] = {}
+    ys, ws, ks = [], [], []
+    for (yi, wi), p in sorted(t._poly.items(), key=lambda e: (e[0][1], e[0][0])):
+        ys.append(yi)
+        ws.append(wi)
+        ks.append(pool.setdefault(p, len(pool)))
+    payload = bytearray(struct.pack("<II", len(pool), len(ys)))
+    for p in pool:
+        payload += struct.pack(f"<B{len(p)}i", len(p) - 1, *p)
+    for values in (ys, ws, ks):
+        payload += _u32_bytes(values)
+    header = _HEADER.pack(_MAGIC, g.cartan.family.encode("ascii"), g.rank,
+                          g.order, _order_digest(g), zlib.crc32(payload))
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".klv-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_table(g: WeylGroup, path) -> KLTable:
-    """Read a table cache and validate its header and order bitset against g.
+    """Read a table cache and validate its header, order digest and
+    checksum against g.
 
     A file that cannot be read or decoded raises InputError.
     """
@@ -304,34 +359,38 @@ def load_table(g: WeylGroup, path) -> KLTable:
 
 
 def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
-    if data[:4] != _MAGIC:
+    magic = data[:4]
+    if magic in _OLD_MAGICS:
+        raise InputError(
+            f"{path}: cache was written in an older format "
+            f"({magic.decode()}); delete it so it can be rebuilt"
+        )
+    if magic != _MAGIC:
         raise InputError(f"{path}: not a polynomial table cache")
-    fam = data[4:5].decode("ascii")
-    rank, n = struct.unpack_from("<BI", data, 5)
+    _, fam, rank, n, digest, crc = _HEADER.unpack_from(data)
+    fam = fam.decode("ascii")
     if (fam, rank, n) != (g.cartan.family, g.rank, g.order):
         raise InputError(
             f"{path}: cache is for type {fam}{rank} ({n} elements), "
             f"group is {g.cartan} ({g.order} elements)"
         )
-    off = 10
-    (n_entries,) = struct.unpack_from("<I", data, off)
-    off += 4
-    poly: dict[tuple[int, int], Coeffs] = {}
-    for _ in range(n_entries):
-        yi, wi, deg = struct.unpack_from("<IIB", data, off)
-        off += 9
-        coeffs = struct.unpack_from(f"<{deg + 1}i", data, off)
-        off += 4 * (deg + 1)
-        poly[(yi, wi)] = coeffs
-    nbytes = (n * n + 7) // 8
-    bits = data[off:off + nbytes]
-    if len(bits) != nbytes:
-        raise InputError(f"{path}: truncated cache file")
-    down = down_masks(g)
-    for wi in range(n):
-        m = down[wi]
-        for yi in range(n):
-            pos = yi * n + wi
-            if bool(bits[pos >> 3] >> (pos & 7) & 1) != bool(m >> yi & 1):
-                raise InputError(f"{path}: order bitset does not match the group")
+    if digest != _order_digest(g):
+        raise InputError(f"{path}: element order does not match the group")
+    off = _HEADER.size
+    if zlib.crc32(data[off:]) != crc:
+        raise InputError(f"{path}: cache checksum mismatch (corrupt file)")
+    n_polys, n_entries = struct.unpack_from("<II", data, off)
+    off += 8
+    pool: list[Coeffs] = []
+    for _ in range(n_polys):
+        (deg,) = struct.unpack_from("<B", data, off)
+        pool.append(struct.unpack_from(f"<{deg + 1}i", data, off + 1))
+        off += 5 + 4 * deg
+    if len(data) - off != 12 * n_entries:
+        raise InputError(f"{path}: truncated or corrupt cache file (entry arrays)")
+    ys, ws, ks = (_u32_array(data, off + 4 * n_entries * j, n_entries)
+                  for j in range(3))
+    if n_entries and max(ks) >= n_polys:
+        raise InputError(f"{path}: corrupt cache file (pool index out of range)")
+    poly = dict(zip(zip(ys, ws), map(pool.__getitem__, ks)))
     return KLTable(g, _entries=poly)

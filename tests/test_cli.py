@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import pytest
 
@@ -168,6 +169,18 @@ def test_corrupt_cache_exit_2(tmp_path, capsys):
                          "-s", "2", "--cache", str(cache))
     assert (code, out) == (2, "")
     assert "error" in err
+
+
+def test_old_format_cache_exit_2(tmp_path, capsys):
+    import singbgg.cli as cli
+    cache = tmp_path / "a3.klv"
+    # a version-1 header: magic, family, rank, order, entry count
+    cache.write_bytes(b"KLV1A" + struct.pack("<BII", 3, 24, 0))
+    cli._TABLE_CACHE.clear()
+    code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
+                         "-s", "2", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert "older format" in err and "Traceback" not in err
 
 
 def test_threads_option_removed(capsys):

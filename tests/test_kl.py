@@ -1,8 +1,14 @@
 """Kazhdan-Lusztig tables, singular variants and the binary cache."""
 
+import errno
+import hashlib
 import random
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import properties
 from helpers import get_group, get_table
@@ -19,6 +25,8 @@ from singbgg import (
     mu_coefficient,
     save_table,
 )
+from singbgg import klpoly
+from singbgg.bruhat import down_masks
 from singbgg.errors import DomainError, InputError
 
 ONE = IntPolynomial((1,))
@@ -202,3 +210,158 @@ def test_unreadable_cache_rejected(tmp_path):
         load_table(g, tmp_path / "missing.klv")
     with pytest.raises(InputError):
         load_table(g, tmp_path)  # a directory
+
+
+def test_f4_cache_round_trip(tmp_path):
+    g = get_group("F", 4)
+    t = get_table("F", 4)
+    path = tmp_path / "f4.klv"
+    save_table(t, path)
+    assert load_table(g, path)._poly == t._poly
+
+
+def test_old_format_cache_rejected(tmp_path):
+    g = get_group("B", 3)
+    path = tmp_path / "v1.klv"
+    # a version-1 header: magic, family, rank, order, entry count
+    path.write_bytes(b"KLV1B" + struct.pack("<BII", 3, g.order, 0))
+    with pytest.raises(InputError, match="older format.*delete it"):
+        load_table(g, path)
+
+
+def test_wrong_element_order_rejected(tmp_path):
+    g = get_group("B", 3)
+    path = tmp_path / "b3.klv"
+    save_table(get_table("B", 3), path)
+    data = bytearray(path.read_bytes())
+    # the order rows of the same group in reversed element indexing; the
+    # checksum covers only the payload, so it stays valid
+    nbytes = (g.order + 7) // 8
+    rows = [int(f"{m:0{g.order}b}"[::-1], 2) for m in reversed(down_masks(g))]
+    data[10:42] = hashlib.sha256(
+        b"".join(m.to_bytes(nbytes, "little") for m in rows)).digest()
+    crc, = struct.unpack_from("<I", data, 42)
+    assert crc == zlib.crc32(bytes(data[46:]))
+    path.write_bytes(bytes(data))
+    with pytest.raises(InputError, match="does not match the group"):
+        load_table(g, path)
+
+
+def test_corrupt_entry_rejected_by_checksum(tmp_path):
+    g = get_group("B", 3)
+    path = tmp_path / "b3.klv"
+    save_table(get_table("B", 3), path)
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1  # the pool index of the last entry
+    path.write_bytes(bytes(data))
+    with pytest.raises(InputError, match="checksum"):
+        load_table(g, path)
+
+
+@pytest.fixture(scope="module")
+def b3_cache(tmp_path_factory):
+    path = tmp_path_factory.mktemp("b3") / "b3.klv"
+    save_table(get_table("B", 3), path)
+    return path
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_damaged_cache_loads_equal_or_is_rejected(b3_cache, data):
+    g = get_group("B", 3)
+    raw = b3_cache.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        # half the offsets fall in the header and the first pool entries
+        offset = st.one_of(st.integers(0, 63), st.integers(0, len(raw) - 1))
+        writes = data.draw(st.lists(st.tuples(offset, st.integers(0, 255)),
+                                    min_size=1, max_size=8), label="writes")
+        damaged = bytearray(raw)
+        for off, byte in writes:
+            damaged[off] = byte
+    path = b3_cache.with_name("damaged.klv")
+    path.write_bytes(bytes(damaged))
+    try:
+        t = load_table(g, path)
+    except InputError:
+        return
+    assert t._poly == get_table("B", 3)._poly
+
+
+def _resealed(data):
+    """data with its payload checksum recomputed."""
+    data = bytearray(data)
+    data[42:46] = struct.pack("<I", zlib.crc32(bytes(data[46:])))
+    return bytes(data)
+
+
+def test_inconsistent_payload_rejected(tmp_path):
+    g = get_group("B", 3)
+    path = tmp_path / "b3.klv"
+    save_table(get_table("B", 3), path)
+    data = path.read_bytes()
+    n_polys, _ = struct.unpack_from("<II", data, 46)
+    bad_index = data[:-4] + struct.pack("<I", n_polys)
+    for bad, msg in [(bad_index, "pool index"), (data + b"\0", "entry arrays"),
+                     (data[:-1], "entry arrays")]:
+        path.write_bytes(_resealed(bad))
+        with pytest.raises(InputError, match=msg):
+            load_table(g, path)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_resealed_damage_raises_only_input_error(b3_cache, data):
+    """Damage behind a valid checksum reaches the structural checks, which
+    must reject it as InputError or decode it; nothing else may escape."""
+    raw = b3_cache.read_bytes()
+    damaged = bytearray(raw)
+    if data.draw(st.booleans(), label="truncate"):
+        del damaged[data.draw(st.integers(46, len(raw) - 1), label="length"):]
+    if len(damaged) > 46:
+        offset = st.integers(46, len(damaged) - 1)
+        for off, byte in data.draw(st.lists(st.tuples(offset, st.integers(0, 255)),
+                                            max_size=8), label="writes"):
+            damaged[off] = byte
+    path = b3_cache.with_name("resealed.klv")
+    path.write_bytes(_resealed(damaged))
+    try:
+        load_table(get_group("B", 3), path)
+    except InputError:
+        pass
+
+
+class _FailingWrite:
+    """A file whose write stores half of its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, b):
+        self.fh.write(b[:len(b) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch, existing):
+    path = tmp_path / "b3.klv"
+    if existing:
+        save_table(get_table("B", 3), path)
+    before = path.read_bytes() if existing else None
+    fdopen = klpoly.os.fdopen
+    monkeypatch.setattr(klpoly.os, "fdopen",
+                        lambda fd, mode: _FailingWrite(fdopen(fd, mode)))
+    with pytest.raises(OSError):
+        save_table(get_table("A", 3), path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == (["b3.klv"] if existing else [])
+    if existing:
+        assert path.read_bytes() == before
+        assert load_table(get_group("B", 3), path)._poly == get_table("B", 3)._poly
