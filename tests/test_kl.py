@@ -364,4 +364,3 @@ def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch, existing):
     assert [p.name for p in tmp_path.iterdir()] == (["b3.klv"] if existing else [])
     if existing:
         assert path.read_bytes() == before
-        assert load_table(get_group("B", 3), path)._poly == get_table("B", 3)._poly
