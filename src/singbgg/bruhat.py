@@ -1,9 +1,10 @@
 """Bruhat order: cover relations, comparisons and intervals.
 
-The cover graph is built once per group (covers are t*u for reflections t
-with a length jump of one).  Order queries use transitive-closure bitmasks
-over the canonical element indexing, so `leq` and interval extraction are
-O(1)-ish big-integer operations.
+The cover graph is built once per group from the left multiplication table
+by the lifting property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+2.2).  Order queries use transitive-closure bitmasks over the element
+indexing, so `leq` and interval extraction are O(1)-ish big-integer
+operations; only `leq` above the element budget recurses on permutations.
 """
 
 from __future__ import annotations
@@ -24,22 +25,24 @@ class CoverGraph:
 
 
 def cover_graph(g: WeylGroup) -> CoverGraph:
+    """Covers by the lifting property, in index order.
+
+    For w != e let s be the first letter of its ShortLex word and v = s*w.
+    The lower covers of w are v and the s*c > c over the lower covers c of v.
+    """
     g.require_enumerated()
     if g._covers_upper is None:
-        reflections = [g._root_action_perm(alpha) for alpha in g.positive_roots]
+        lmul, words = g._lmul, g._words
         upper: list[list[int]] = [[] for _ in range(g.order)]
         lower: list[list[int]] = [[] for _ in range(g.order)]
-        for i, p in enumerate(g._perms):
-            li = g._lengths[i]
-            for t in reflections:
-                q = _compose(t, p)
-                if _num_inversions(q) == li + 1:
-                    j = g._index[q]
-                    upper[i].append(j)
-                    lower[j].append(i)
-        for rows in (upper, lower):
-            for row in rows:
-                row.sort()
+        for w in range(1, g.order):
+            row = lmul[words[w][0] - 1]
+            v = row[w]
+            low = [v] + [row[c] for c in lower[v] if row[c] > c]
+            low.sort()
+            lower[w] = low
+            for c in low:
+                upper[c].append(w)
         g._covers_upper, g._covers_lower = upper, lower
     return CoverGraph(g, g._covers_upper, g._covers_lower)
 
@@ -47,28 +50,26 @@ def cover_graph(g: WeylGroup) -> CoverGraph:
 def down_masks(g: WeylGroup) -> list[int]:
     """down_masks(g)[i] has bit j set iff w_j <= w_i in Bruhat order."""
     if g._down_masks is None:
-        cg = cover_graph(g)
-        down = [0] * g.order
-        for i in range(g.order):  # indices are sorted by length
-            m = 1 << i
-            for j in cg.lower[i]:
-                m |= down[j]
-            down[i] = m
-        g._down_masks = down
+        g._down_masks = _closure(cover_graph(g).lower, range(g.order))
     return g._down_masks
 
 
 def up_masks(g: WeylGroup) -> list[int]:
+    """up_masks(g)[i] has bit j set iff w_i <= w_j in Bruhat order."""
     if g._up_masks is None:
-        cg = cover_graph(g)
-        up = [0] * g.order
-        for i in range(g.order - 1, -1, -1):
-            m = 1 << i
-            for j in cg.upper[i]:
-                m |= up[j]
-            up[i] = m
-        g._up_masks = up
+        g._up_masks = _closure(cover_graph(g).upper, range(g.order - 1, -1, -1))
     return g._up_masks
+
+
+def _closure(covers: list[list[int]], order) -> list[int]:
+    """Reflexive-transitive closure of covers; order lists each row after its covers."""
+    masks = [0] * len(covers)
+    for i in order:
+        m = 1 << i
+        for j in covers[i]:
+            m |= masks[j]
+        masks[i] = m
+    return masks
 
 
 def _check_same_group(u: Element, v: Element) -> WeylGroup:
@@ -119,25 +120,13 @@ def lower_covers(w: Element) -> list[Element]:
     return [g.element_by_index(j) for j in cg.lower[w.index]]
 
 
-def interval_mask(g: WeylGroup, ui: int, vi: int) -> int:
-    return up_masks(g)[ui] & down_masks(g)[vi]
-
-
 def interval(u: Element, v: Element) -> list[Element]:
     """All z with u <= z <= v, sorted by (length, ShortLex word)."""
     g = _check_same_group(u, v)
     if not leq(u, v):
         raise DomainError(f"empty interval: {u!r} is not below {v!r}")
-    return elements_of_mask(g, interval_mask(g, u.index, v.index))
-
-
-def elements_of_mask(g: WeylGroup, mask: int) -> list[Element]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(g.element_by_index(low.bit_length() - 1))
-        mask ^= low
-    return out
+    mask = up_masks(g)[u.index] & down_masks(g)[v.index]
+    return [g.element_by_index(i) for i in iter_indices(mask)]
 
 
 def iter_indices(mask: int):

@@ -157,10 +157,10 @@ def positive_roots(cartan: CartanType) -> list[RootVector]:
                 seen.add(gamma)
                 frontier.append(gamma)
 
-    pos = [r for r in seen if _eval(phi, r) > 0]
+    pos = [r for r in seen if dot(phi, r) > 0]
     others = sorted(
         (r for r in pos if r not in set(simples)),
-        key=lambda r: (_eval(phi, r), r),
+        key=lambda r: (dot(phi, r), r),
     )
     result = simples + others
     if len(result) != cartan.num_positive_roots:
@@ -169,10 +169,6 @@ def positive_roots(cartan: CartanType) -> list[RootVector]:
             f"expected {cartan.num_positive_roots}"
         )
     return result
-
-
-def _eval(phi: RootVector, v: RootVector) -> Fraction:
-    return dot(phi, v)
 
 
 def _positive_functional(simples: list[RootVector]) -> RootVector:

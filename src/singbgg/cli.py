@@ -37,9 +37,6 @@ from .mobius import mobius_lambda, support_X
 from .parabolic import make_block
 from .weyl import Element, WeylGroup, build_group
 
-_TABLE_CACHE: dict[int, KLTable] = {}
-
-
 def _word_str(w: Element) -> str:
     return "".join(str(i) for i in w.reduced_word()) or "e"
 
@@ -73,15 +70,10 @@ def _group(args) -> WeylGroup:
 
 def _table(g: WeylGroup, args) -> KLTable:
     cache = getattr(args, "cache", None)
-    key = id(g)
-    t = _TABLE_CACHE.get(key)
-    if t is None:
-        if cache and os.path.exists(cache):
-            t = load_table(g, cache)
-        else:
-            t = kl_table(g)
-        _TABLE_CACHE[key] = t
-    if cache and not os.path.exists(cache):
+    if cache and os.path.exists(cache):
+        return load_table(g, cache)
+    t = kl_table(g)
+    if cache:
         try:
             save_table(t, cache)
         except OSError as exc:

@@ -311,8 +311,10 @@ def _u32_array(data: bytes, off: int, count: int) -> array:
 def save_table(t: KLTable, path) -> None:
     """Serialize the sparse table; see the layout above.
 
-    The file is written under a temporary name in the target's directory and
-    renamed over path, so a failed save never leaves a partial cache.
+    The file is written under a temporary name in the target's directory,
+    synced to disk and renamed over path, so a failed save or a crash never
+    leaves a partial cache.  It gets the mode open() would give it (0o666
+    less the umask), not mkstemp's 0o600.
     """
     g = t.group
     pool: dict[Coeffs, int] = {}
@@ -334,6 +336,11 @@ def save_table(t: KLTable, path) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
             fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        umask = os.umask(0o022)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -7,9 +7,11 @@ O(N) multiplication for all types uniformly and no floating point anywhere.
 
 Groups of order up to the element budget (default 1152, override with the
 ``BGG_ELEMENT_BUDGET`` environment variable) are fully enumerated at build
-time, with elements indexed by (length, ShortLex reduced word).  Larger
-groups (the big E types) still support element arithmetic but refuse
-full-table operations.
+time, one length layer at a time, so elements come out indexed by (length,
+ShortLex reduced word) with no sort, together with index tables for left and
+right multiplication by simple reflections and for inversion, which is all
+the heavier modules use.  Larger groups (the big E types) still support
+element arithmetic but refuse full-table operations.
 """
 
 from __future__ import annotations
@@ -106,40 +108,47 @@ class WeylGroup:
         return tuple(out)
 
     def _enumerate(self) -> None:
+        """Index the elements one length layer at a time, with no sort.
+
+        A new q = s*w of the next layer is first met with s its smallest left
+        descent and w in index order, so layers come out in ShortLex order.
+        """
         n_pos = len(self.positive_roots)
-        gens = self.generator_perms
-        seen = {self.identity_perm}
-        frontier = [self.identity_perm]
-        while frontier:
-            p = frontier.pop()
-            for gp in gens:
-                q = _compose(p, gp)
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        if len(seen) != self.order:
+        # act[a] is s(a) for a signed root index -n_pos <= a <= n_pos, so that
+        # s*w shares its int objects with act instead of negating afresh.
+        acts = [(0,) + gp + tuple(-a for a in reversed(gp)) for gp in self.generator_perms]
+        perms: list[Perm] = [self.identity_perm]
+        words: list[tuple[int, ...]] = [()]
+        lengths = [0]
+        index: dict[Perm, int] = {self.identity_perm: 0}
+        lmul: list[list[int]] = [[-1] for _ in acts]
+        start, end = 0, 1
+        while start < end:
+            for s, act in enumerate(acts):
+                row = lmul[s]
+                for i in range(start, end):
+                    if row[i] < 0:  # s is not a left descent of w_i
+                        q = tuple([act[a] for a in perms[i]])
+                        j = index.get(q)
+                        if j is None:
+                            j = index[q] = len(perms)
+                            perms.append(q)
+                            words.append((s + 1,) + words[i])
+                            lengths.append(lengths[i] + 1)
+                            for r in lmul:
+                                r.append(-1)
+                        row[i], row[j] = j, i
+            start, end = end, len(perms)
+        if len(perms) != self.order:
             raise AssertionError(
-                f"BFS closure found {len(seen)} elements, expected {self.order}"
+                f"closure found {len(perms)} elements, expected {self.order}"
             )
-        decorated = sorted(
-            (_num_inversions(p), self._shortlex_word(p), p) for p in seen
-        )
-        self._perms: list[Perm] = [p for _, _, p in decorated]
-        self._lengths: list[int] = [l for l, _, _ in decorated]
-        self._words: list[tuple[int, ...]] = [w for _, w, _ in decorated]
-        self._index: dict[Perm, int] = {p: i for i, p in enumerate(self._perms)}
-        if self._lengths[-1] != n_pos or self._lengths[-2] == n_pos:
+        if _num_inversions(perms[-1]) != n_pos or lengths[-2] == n_pos:
             raise AssertionError("the last index is not the unique longest element")
-        n = self.order
-        self._inv: list[int] = [self._index[_invert(p)] for p in self._perms]
-        self._rmul: list[list[int]] = [
-            [self._index[_compose(p, gp)] for p in self._perms]
-            for gp in gens
-        ]
-        self._lmul: list[list[int]] = [
-            [self._inv[self._rmul[s][self._inv[i]]] for i in range(n)]
-            for s in range(self.rank)
-        ]
+        inv = [index[_invert(p)] for p in perms]
+        self._perms, self._words, self._lengths = perms, words, lengths
+        self._index, self._inv, self._lmul = index, inv, lmul
+        self._rmul = [[inv[row[k]] for k in inv] for row in lmul]
         self._enumerated = True
 
     def _shortlex_word(self, p: Perm) -> tuple[int, ...]:
@@ -232,13 +241,6 @@ class WeylGroup:
 
     # -- index-level tables used by the heavier modules -----------------------
 
-    def lmul_index(self, s: int, i: int) -> int:
-        """Index of s_{s+1} * w_i (s is 0-based here)."""
-        return self._lmul[s][i]
-
-    def rmul_index(self, s: int, i: int) -> int:
-        return self._rmul[s][i]
-
     def rmul_w0_indices(self) -> list[int]:
         """rmul_w0_indices()[i] is the index of w_i * w0 (built on first use)."""
         self.require_enumerated()
@@ -274,8 +276,13 @@ class Element:
         return self._index
 
     def reduced_word(self) -> tuple[int, ...]:
+        """ShortLex-minimal reduced word."""
         if self._word is None:
-            self._word = self.group._shortlex_word(self.perm)
+            g = self.group
+            if g._enumerated:
+                self._word = g._words[self.index]
+            else:
+                self._word = g._shortlex_word(self.perm)
         return self._word
 
     def __mul__(self, other: "Element") -> "Element":

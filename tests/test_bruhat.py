@@ -2,8 +2,9 @@
 
 import pytest
 
-from helpers import get_group, subword_leq
+from helpers import get_group, reflection_covers, subword_leq
 from singbgg import build_group, CartanType, interval, leq, lower_covers, upper_covers
+from singbgg.bruhat import cover_graph
 from singbgg.errors import DomainError
 
 
@@ -13,6 +14,13 @@ def test_leq_matches_subword_oracle(fam, rank):
     for u in g.elements():
         for v in g.elements():
             assert leq(u, v) == subword_leq(u, v)
+
+
+@pytest.mark.parametrize("fam,rank", [("G", 2), ("A", 4), ("B", 4), ("D", 4), ("F", 4)])
+def test_cover_graph_matches_reflection_definition(fam, rank):
+    g = get_group(fam, rank)
+    cg = cover_graph(g)
+    assert (cg.upper, cg.lower) == reflection_covers(g)
 
 
 def test_covers_have_length_one_jump():

@@ -141,16 +141,12 @@ def test_cache_flag(tmp_path, capsys):
     code, out1, _ = run(capsys, "nonkostant", "-t", "A", "-r", "3",
                         "-s", "2", "--cache", str(cache))
     assert code == 0 and cache.exists()
-    import singbgg.cli as cli
-    cli._TABLE_CACHE.clear()
     code, out2, _ = run(capsys, "nonkostant", "-t", "A", "-r", "3",
                         "-s", "2", "--cache", str(cache))
     assert code == 0 and out1 == out2
 
 
 def test_cache_in_missing_directory_still_answers(tmp_path, capsys):
-    import singbgg.cli as cli
-    cli._TABLE_CACHE.clear()
     cache = tmp_path / "missing" / "a3.klv"
     code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
                          "-s", "2", "--cache", str(cache))
@@ -159,24 +155,34 @@ def test_cache_in_missing_directory_still_answers(tmp_path, capsys):
 
 
 def test_corrupt_cache_exit_2(tmp_path, capsys):
-    import singbgg.cli as cli
     cache = tmp_path / "a3.klv"
     run(capsys, "nonkostant", "-t", "A", "-r", "3", "-s", "2",
         "--cache", str(cache))
     cache.write_bytes(cache.read_bytes()[:20])
-    cli._TABLE_CACHE.clear()
     code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
                          "-s", "2", "--cache", str(cache))
     assert (code, out) == (2, "")
     assert "error" in err
 
 
+def test_cache_read_after_earlier_call(tmp_path, capsys):
+    # A second call in the same process must still read and check --cache.
+    good, cache = tmp_path / "good.klv", tmp_path / "a3.klv"
+    code, out1, _ = run(capsys, "nonkostant", "-t", "A", "-r", "3", "-s", "2",
+                        "--cache", str(good))
+    assert (code, out1) == (0, "(2)\n")
+    for bad in (good.read_bytes()[:-1], b"KLV2garbage"):
+        cache.write_bytes(bad)
+        code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
+                             "-s", "2", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert "error" in err and "Traceback" not in err
+
+
 def test_old_format_cache_exit_2(tmp_path, capsys):
-    import singbgg.cli as cli
     cache = tmp_path / "a3.klv"
     # a version-1 header: magic, family, rank, order, entry count
     cache.write_bytes(b"KLV1A" + struct.pack("<BII", 3, 24, 0))
-    cli._TABLE_CACHE.clear()
     code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
                          "-s", "2", "--cache", str(cache))
     assert (code, out) == (2, "")

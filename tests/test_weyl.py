@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import get_group
+from helpers import get_group, shortlex_tables
 from singbgg import CartanType, build_group, positive_roots
 from singbgg.errors import BudgetError, ConfigurationError, InputError
 
@@ -111,12 +111,28 @@ def test_index_order_is_length_shortlex():
         assert w.index == i
 
 
+@pytest.mark.parametrize("fam,rank", [("G", 2), ("A", 4), ("B", 4), ("D", 4), ("F", 4)])
+def test_layered_tables_match_shortlex_sort(fam, rank):
+    g = get_group(fam, rank)
+    tables = (g._perms, g._words, g._lengths, g._lmul, g._rmul, g._inv)
+    assert tables == shortlex_tables(g)
+
+
+def test_reduced_word_reads_the_table():
+    g = get_group("B", 4)
+    small = build_group(CartanType("B", 4), budget=10)
+    for w in g.elements()[::7]:
+        fresh = g.from_word(w.reduced_word() + (1, 1))  # no cached word
+        assert fresh.reduced_word() == w.reduced_word()
+        assert small.from_word(w.reduced_word()).reduced_word() == w.reduced_word()
+
+
 def test_mul_tables_consistent():
     g = get_group("A", 3)
     for i, w in enumerate(g.elements()):
         for s in range(g.rank):
-            assert g.rmul_index(s, i) == (w * g.generator(s + 1)).index
-            assert g.lmul_index(s, i) == (g.generator(s + 1) * w).index
+            assert g._rmul[s][i] == (w * g.generator(s + 1)).index
+            assert g._lmul[s][i] == (g.generator(s + 1) * w).index
 
 
 def test_mixed_groups_rejected():
