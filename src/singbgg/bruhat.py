@@ -10,6 +10,7 @@ operations; only `leq` above the element budget recurses on permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import DomainError, InputError
 from .weyl import Element, WeylGroup, _compose, _invert, _num_inversions
@@ -129,7 +130,22 @@ def interval(u: Element, v: Element) -> list[Element]:
     return [g.element_by_index(i) for i in iter_indices(mask)]
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def iter_indices(mask: int):
+    """Indices of the set bits of mask, in increasing order.
+
+    A dense mask is read in one pass over its binary digits; a sparse one
+    (under one bit in 32) is stripped one low bit at a time.
+    """
+    if mask.bit_count() * 32 > mask.bit_length():
+        bits = bin(mask)[:1:-1].encode("ascii").translate(_BITS)
+        return compress(range(len(bits)), bits)
+    return _sparse_indices(mask)
+
+
+def _sparse_indices(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

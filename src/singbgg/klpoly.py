@@ -1,12 +1,24 @@
 """Kazhdan-Lusztig polynomials and their singular alternating-sum variants.
 
 The full table is computed bottom-up in length order with the standard
-recursion.  Storage is sparse: only polynomials other than 0 and 1 are kept
-explicitly; the 0/1 distinction is read off the Bruhat-order bitmasks.  The
-singular variants are alternating sums of ordinary entries over a parabolic
-subgroup.  The dominant-side variant, the one the exactness test reads, is
-the same sum for the singularity set conjugated by the longest element; it
-runs over the block's precomputed index terms.
+recursion.  Inside the table every polynomial is one Python int, its value at
+q = 2**_WIDTH (Kronecker substitution).  This is an exact ring map from Z[q]
+to Z, so the recursion and the signed sums run on plain integers: sums stay
+sums, multiplying by q**k is multiplying by 1 << (_WIDTH * k).  Reading a
+polynomial back takes the balanced base-2**_WIDTH digits, which is exact
+while every coefficient lies in [-2**(_WIDTH - 1), 2**(_WIDTH - 1)); two
+guards raise AssertionError before a sum could leave that range.
+
+Storage is sparse: column w keeps only the y with P_{y,w} other than 0 and
+1, and the 0/1 distinction is read off the Bruhat-order bitmasks.  Stored
+values are interned, so equal polynomials share one int and the table keeps
+a pool of the distinct ones with their coefficient tuples.  Tuples and
+IntPolynomial are built only when a polynomial leaves the module.
+
+The singular variants are alternating sums of ordinary entries over a
+parabolic subgroup.  The dominant-side variant, the one the exactness test
+reads, is the same sum for the singularity set conjugated by the longest
+element; it runs over the block's precomputed index terms.
 """
 
 from __future__ import annotations
@@ -19,15 +31,52 @@ import sys
 import tempfile
 import zlib
 from array import array
+from bisect import bisect_left
 
 from .bruhat import down_masks, iter_indices, leq
 from .errors import DomainError, InputError
-from .parabolic import SingularBlock
-from .weyl import Element, WeylGroup, _compose
+from .parabolic import SingularBlock, _mask
+from .weyl import Element, WeylGroup
 
 Coeffs = tuple[int, ...]
 
 _ONE: Coeffs = (1,)
+
+# Bits per coefficient in the packed form; coefficients must stay below
+# 2**(_WIDTH - 1) in absolute value.
+_WIDTH = 32
+
+
+def _pack(coeffs: Coeffs) -> int:
+    """The value of the polynomial at q = 2**_WIDTH."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << _WIDTH) + c
+    return v
+
+
+def _unpack(v: int) -> Coeffs:
+    """Coefficients of a packed polynomial (balanced digits), trimmed."""
+    width = _WIDTH
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> width
+    return tuple(out)
+
+
+def _check_width(bound: int) -> None:
+    """Raise unless coefficients bounded by bound read back exactly."""
+    if bound >= 1 << (_WIDTH - 1):
+        raise AssertionError(
+            f"coefficients up to {bound} in absolute value do not fit "
+            f"in {_WIDTH}-bit digits"
+        )
 
 
 class IntPolynomial(tuple):
@@ -67,111 +116,95 @@ class IntPolynomial(tuple):
         return f"IntPolynomial({str(self)})"
 
 
-def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-
-
-def _psub(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _pshift(a: Coeffs, k: int) -> Coeffs:
-    return (0,) * k + a if a else ()
-
-
-def _pscale(a: Coeffs, m: int) -> Coeffs:
-    return tuple(m * x for x in a)
-
-
-def _ptrim(a: Coeffs) -> Coeffs:
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
 class KLTable:
     """Complete Kazhdan-Lusztig table for a fully enumerated group.
 
-    Entries are keyed by element index pairs (y, w); pairs with y not below w
-    read as 0, comparable pairs default to 1 unless stored explicitly.
+    Entries are read by element index pairs (y, w); pairs with y not below w
+    read as 0, comparable pairs as 1 unless column w stores them.  _cols[w]
+    maps y to P_{y,w} packed at q = 2**_WIDTH, _pool maps each distinct
+    stored value to its coefficient tuple, and _cmax is the largest
+    coefficient in absolute value (at least 1), which bounds the signed
+    sums.
     """
 
-    def __init__(self, group: WeylGroup, _entries: dict | None = None):
+    def __init__(self, group: WeylGroup, _entries: tuple | None = None):
         group.require_enumerated()
         self.group = group
         self._down = down_masks(group)
-        if _entries is not None:
-            self._poly = _entries
-        else:
-            self._poly = self._build()
+        if _entries is None:
+            _entries = self._build()
+        self._cols, self._pool = _entries
+        self._cmax = max((abs(c) for p in self._pool.values() for c in p), default=1)
 
-    def _build(self) -> dict[tuple[int, int], Coeffs]:
+    def _build(self) -> tuple[list[dict[int, int]], dict[int, Coeffs]]:
         g = self.group
+        width = _WIDTH
         down = self._down
         lengths = g._lengths
         words = g._words
         lmul = g._lmul
-        poly: dict[tuple[int, int], Coeffs] = {}
-        mu_rows: dict[int, list[tuple[int, int]]] = {}
+        n = g.order
+        # desc[s] has bit i set iff s is a left descent of w_i
+        desc = [_mask(i for i in range(n) if row[i] < i) for row in lmul]
+        cols: list[dict[int, int]] = [{} for _ in range(n)]
+        mu_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # distinct stored value -> (the shared int, degree, leading coefficient)
+        seen: dict[int, tuple[int, int, int]] = {}
+        pool: dict[int, Coeffs] = {}
+        cmax = 1
 
-        def get(yi: int, wi: int) -> Coeffs:
-            if yi == wi:
-                return _ONE
-            if not (down[wi] >> yi & 1):
-                return ()
-            return poly.get((yi, wi), _ONE)
-
-        for wi in range(g.order):
+        for wi in range(1, n):
             lw = lengths[wi]
-            if lw == 0:
-                continue
             s = words[wi][0] - 1  # smallest left descent of w
-            vi = lmul[s][wi]
             sl = lmul[s]
-            zmu = [
-                (zi, m, (lw - lengths[zi]) // 2)
-                for zi, m in mu_rows.get(vi, ())
-                if lengths[sl[zi]] < lengths[zi]
-            ]
-            results: dict[int, Coeffs] = {}
+            ds = desc[s]
+            vi = sl[wi]
+            col_v = cols[vi]
+            down_v = down[vi]
+            # mu(z, v) q^((l(w) - l(z)) / 2) for the z < v with s z < z
+            zmu = []
+            mu_sum = 0
+            for zi, m in mu_rows[vi]:
+                if ds >> zi & 1:
+                    zmu.append((down[zi], cols[zi], m << width * ((lw - lengths[zi]) // 2)))
+                    mu_sum += m
+            _check_width((2 + mu_sum) * cmax)
             dmask = down[wi]
-            for yi in iter_indices(dmask):
-                syi = sl[yi]
-                if lengths[syi] > lengths[yi]:
-                    continue  # handled by invariance below
-                p = _padd(get(syi, vi), _pshift(get(yi, vi), 1))
-                for zi, m, shift in zmu:
-                    if down[zi] >> yi & 1:
-                        q = get(yi, zi)
-                        if q:
-                            p = _psub(p, _pshift(_pscale(q, m), shift))
-                results[yi] = _ptrim(p)
-            for yi in iter_indices(dmask):
-                syi = sl[yi]
-                if lengths[syi] > lengths[yi]:
-                    results[yi] = results[syi]
-            row_mu = []
+            # y with s y < y by the recursion; then s y > y by P_{y,w} = P_{sy,w}
+            results: dict[int, int] = {}
+            for yi in iter_indices(dmask & ds):
+                p = col_v.get(sl[yi], 1)  # s y <= v by the lifting property
+                if down_v >> yi & 1:
+                    p += col_v.get(yi, 1) << width
+                for down_z, col_z, mq in zmu:
+                    if down_z >> yi & 1:
+                        p -= mq * col_z.get(yi, 1)
+                results[yi] = p
+            for yi in iter_indices(dmask & ~ds):
+                results[yi] = results[sl[yi]]
+            col = cols[wi]
+            row_mu = mu_rows[wi]
             for yi, p in results.items():
                 d = lw - lengths[yi]
-                if not p or p[0] != 1:
-                    raise AssertionError("constant term of a KL polynomial is not 1")
-                if yi != wi and 2 * (len(p) - 1) > d - 1:
+                if p == 1:
+                    if d == 1:
+                        row_mu.append((yi, 1))
+                    continue
+                e = seen.get(p)
+                if e is None:
+                    coeffs = _unpack(p)
+                    if not coeffs or coeffs[0] != 1:
+                        raise AssertionError("constant term of a KL polynomial is not 1")
+                    e = seen[p] = (p, len(coeffs) - 1, coeffs[-1])
+                    pool[p] = coeffs
+                    cmax = max(cmax, max(map(abs, coeffs)))
+                p, deg, lead = e
+                if 2 * deg > d - 1:
                     raise AssertionError("KL degree bound violated")
-                if p != _ONE:
-                    poly[(yi, wi)] = p
-                if d % 2 == 1:
-                    k = (d - 1) // 2
-                    if len(p) > k and p[k]:
-                        row_mu.append((yi, p[k]))
-            if row_mu:
-                mu_rows[wi] = row_mu
-        return poly
+                col[yi] = p
+                if 2 * deg == d - 1:
+                    row_mu.append((yi, lead))
+        return cols, pool
 
     # -- reads -----------------------------------------------------------------
 
@@ -180,14 +213,15 @@ class KLTable:
             return _ONE
         if not (self._down[wi] >> yi & 1):
             return ()
-        return self._poly.get((yi, wi), _ONE)
+        p = self._cols[wi].get(yi)
+        return _ONE if p is None else self._pool[p]
 
     def polynomial(self, y: Element, w: Element) -> IntPolynomial:
         """P_{y,w}; 0 when y is not below w in Bruhat order."""
         return IntPolynomial(self.polynomial_by_index(y.index, w.index))
 
     def __len__(self) -> int:
-        return len(self._poly)
+        return sum(map(len, self._cols))
 
 
 def kl_table(g: WeylGroup) -> KLTable:
@@ -215,15 +249,14 @@ def klv_polynomial(
     for e in (y, z):
         if not b_mu.contains_min_rep(e):
             raise DomainError(f"{e!r} is not a minimal coset representative")
-    zi = z.index
-    acc: Coeffs = ()
+    terms = []
     for ui in b_mu._wlambda_indices:
-        yui = g._index[_compose(y.perm, g._perms[ui])]
-        p = t.polynomial_by_index(yui, zi)
-        if not p:
-            continue
-        acc = _padd(acc, p) if g._lengths[ui] % 2 == 0 else _psub(acc, p)
-    return IntPolynomial(acc)
+        yui = y.index
+        for s in g._words[ui]:
+            yui = g._rmul[s - 1][yui]
+        terms.append((yui, -1 if g._lengths[ui] % 2 else 1))
+    _check_width(len(terms) * t._cmax)
+    return IntPolynomial(_unpack(_dominant_sum(t, terms, z.index)))
 
 
 def klv_dominant(
@@ -238,31 +271,25 @@ def klv_dominant(
     if not leq(w, x):
         raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
     zi = b.group.rmul_w0_indices()[w.index]
-    return IntPolynomial(_dominant_sum(t, b._dominant_terms[x.index], zi))
+    terms = b._dominant_terms[x.index]
+    _check_width(len(terms) * t._cmax)
+    return IntPolynomial(_unpack(_dominant_sum(t, terms, zi)))
 
 
-def _dominant_sum(t: KLTable, terms, zi: int) -> Coeffs:
-    """Signed sum of P_{y, z} over the (y, sign) terms of a longest
-    representative (see SingularBlock), trimmed.
+def _dominant_sum(t: KLTable, terms, zi: int) -> int:
+    """Signed sum of P_{y, z} over the (y, sign) terms, packed.
 
-    This is the scan's inner loop, so it reads the table directly: entries 1
-    are summed as integers and only stored polynomials as tuples.
+    This is the scan's inner loop, so it reads the table directly and does
+    not check the width: a caller summing n terms first checks
+    n * t._cmax with _check_width, once for all sums of that length.
     """
     down_z = t._down[zi]
-    poly = t._poly
-    const = 0
-    acc: Coeffs = ()
+    col = t._cols[zi]
+    acc = 0
     for yi, sign in terms:
-        if not down_z >> yi & 1:
-            continue
-        p = poly.get((yi, zi))
-        if p is None:
-            const += sign
-        else:
-            acc = _padd(acc, p) if sign > 0 else _psub(acc, p)
-    if acc:
-        return _ptrim((acc[0] + const,) + acc[1:])
-    return (const,) if const else ()
+        if down_z >> yi & 1:
+            acc += sign * col.get(yi, 1)
+    return acc
 
 
 # -- binary cache ---------------------------------------------------------------
@@ -317,14 +344,16 @@ def save_table(t: KLTable, path) -> None:
     less the umask), not mkstemp's 0o600.
     """
     g = t.group
-    pool: dict[Coeffs, int] = {}
+    pool: dict[int, int] = {}
     ys, ws, ks = [], [], []
-    for (yi, wi), p in sorted(t._poly.items(), key=lambda e: (e[0][1], e[0][0])):
-        ys.append(yi)
-        ws.append(wi)
-        ks.append(pool.setdefault(p, len(pool)))
+    for wi, col in enumerate(t._cols):
+        for yi in sorted(col):
+            ys.append(yi)
+            ws.append(wi)
+            ks.append(pool.setdefault(col[yi], len(pool)))
     payload = bytearray(struct.pack("<II", len(pool), len(ys)))
-    for p in pool:
+    for v in pool:
+        p = t._pool[v]
         payload += struct.pack(f"<B{len(p)}i", len(p) - 1, *p)
     for values in (ys, ws, ks):
         payload += _u32_bytes(values)
@@ -399,5 +428,18 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
                   for j in range(3))
     if n_entries and max(ks) >= n_polys:
         raise InputError(f"{path}: corrupt cache file (pool index out of range)")
-    poly = dict(zip(zip(ys, ws), map(pool.__getitem__, ks)))
-    return KLTable(g, _entries=poly)
+    if n_entries and (max(ys) >= n or ws[-1] >= n or ws.tolist() != sorted(ws)):
+        raise InputError(f"{path}: corrupt cache file (entry index out of order or range)")
+    values = [_pack(p) for p in pool]
+    cols = []
+    a = 0
+    for wi in range(n):
+        b = bisect_left(ws, wi + 1, a)
+        cols.append(dict(zip(ys[a:b], map(values.__getitem__, ks[a:b]))))
+        a = b
+    t = KLTable(g, _entries=(cols, dict(zip(values, pool))))
+    # a sum reads at most n entries, so this keeps every later width check
+    # from failing on a loaded table
+    if t._cmax * n >= 1 << (_WIDTH - 1):
+        raise InputError(f"{path}: corrupt cache file (coefficient out of range)")
+    return t

@@ -242,11 +242,15 @@ class WeylGroup:
     # -- index-level tables used by the heavier modules -----------------------
 
     def rmul_w0_indices(self) -> list[int]:
-        """rmul_w0_indices()[i] is the index of w_i * w0 (built on first use)."""
+        """rmul_w0_indices()[i] is the index of w_i * w0 (built on first use),
+        reached along w0's word through the right multiplication table."""
         self.require_enumerated()
         if self._rw0 is None:
-            w0 = self._perms[-1]
-            self._rw0 = [self._index[_compose(p, w0)] for p in self._perms]
+            rw0 = list(range(self.order))
+            for s in self._words[-1]:
+                row = self._rmul[s - 1]
+                rw0 = [row[i] for i in rw0]
+            self._rw0 = rw0
         return self._rw0
 
 

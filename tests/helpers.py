@@ -2,7 +2,8 @@
 
 from itertools import chain, combinations
 
-from singbgg import CartanType, build_group, kl_table
+from singbgg import CartanType, build_group, kl_table, klpoly
+from singbgg.bruhat import down_masks, iter_indices
 from singbgg.weyl import _compose, _invert, _num_inversions
 
 _GROUPS = {}
@@ -84,3 +85,99 @@ def reflection_covers(g):
                 upper[i].append(j)
                 lower[j].append(i)
     return [sorted(r) for r in upper], [sorted(r) for r in lower]
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
+
+
+def _psub(a, b):
+    n = max(len(a), len(b))
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _pshift(a, k):
+    return (0,) * k + a if a else ()
+
+
+def _pscale(a, m):
+    return tuple(m * x for x in a)
+
+
+def _ptrim(a):
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def tuple_kl_polys(g):
+    """KL polynomials by the standard recursion on coefficient tuples, the
+    definition the packed table must reproduce.
+
+    Returns {(y, w): coefficients} for the comparable pairs with P_{y,w}
+    other than 1.
+    """
+    down = down_masks(g)
+    lengths, words, lmul = g._lengths, g._words, g._lmul
+    poly = {}
+    mu_rows = {}
+
+    def get(yi, wi):
+        if yi == wi:
+            return (1,)
+        if not (down[wi] >> yi & 1):
+            return ()
+        return poly.get((yi, wi), (1,))
+
+    for wi in range(g.order):
+        lw = lengths[wi]
+        if lw == 0:
+            continue
+        s = words[wi][0] - 1  # smallest left descent of w
+        vi = lmul[s][wi]
+        sl = lmul[s]
+        zmu = [
+            (zi, m, (lw - lengths[zi]) // 2)
+            for zi, m in mu_rows.get(vi, ())
+            if lengths[sl[zi]] < lengths[zi]
+        ]
+        results = {}
+        dmask = down[wi]
+        for yi in iter_indices(dmask):
+            syi = sl[yi]
+            if lengths[syi] > lengths[yi]:
+                continue  # handled by invariance below
+            p = _padd(get(syi, vi), _pshift(get(yi, vi), 1))
+            for zi, m, shift in zmu:
+                if down[zi] >> yi & 1:
+                    q = get(yi, zi)
+                    if q:
+                        p = _psub(p, _pshift(_pscale(q, m), shift))
+            results[yi] = _ptrim(p)
+        for yi in iter_indices(dmask):
+            syi = sl[yi]
+            if lengths[syi] > lengths[yi]:
+                results[yi] = results[syi]
+        row_mu = []
+        for yi, p in results.items():
+            d = lw - lengths[yi]
+            if p != (1,):
+                poly[(yi, wi)] = p
+            if d % 2 == 1:
+                k = (d - 1) // 2
+                if len(p) > k and p[k]:
+                    row_mu.append((yi, p[k]))
+        if row_mu:
+            mu_rows[wi] = row_mu
+    return poly
+
+
+def decoded_polys(t):
+    """{(y, w): coefficients} of the entries a KLTable stores, unpacked."""
+    return {(y, w): klpoly._unpack(p)
+            for w, col in enumerate(t._cols) for y, p in col.items()}

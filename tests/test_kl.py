@@ -1,7 +1,9 @@
 """Kazhdan-Lusztig tables, singular variants and the binary cache."""
 
 import errno
+import gzip
 import hashlib
+import pathlib
 import random
 import stat
 import struct
@@ -12,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import properties
-from helpers import get_group, get_table
+from helpers import decoded_polys, get_group, get_table, tuple_kl_polys
 from singbgg import (
     IntPolynomial,
     interval,
+    is_kostant,
     kl_table,
     klv_dominant,
     klv_polynomial,
@@ -24,6 +27,7 @@ from singbgg import (
     lower_covers,
     make_block,
     mu_coefficient,
+    nonkostant_block,
     save_table,
 )
 from singbgg import klpoly
@@ -31,6 +35,8 @@ from singbgg.bruhat import down_masks, iter_indices
 from singbgg.errors import DomainError, InputError
 
 ONE = IntPolynomial((1,))
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_rank_le_2_trivial():
@@ -75,7 +81,63 @@ def test_positivity_and_degree_bound():
 
 def test_determinism():
     g = get_group("A", 3)
-    assert kl_table(g)._poly == kl_table(g)._poly
+    assert kl_table(g)._cols == kl_table(g)._cols
+
+
+@pytest.mark.parametrize("fam,rank", [("G", 2), ("A", 4), ("B", 4), ("D", 4), ("F", 4)])
+def test_packed_table_equals_tuple_recursion(fam, rank):
+    t = get_table(fam, rank)
+    expect = tuple_kl_polys(get_group(fam, rank))
+    assert decoded_polys(t) == expect
+    assert t._pool == {p: klpoly._unpack(p) for p in t._pool}
+    assert len(t._pool) == len(set(expect.values()))
+    assert t._cmax == max((abs(c) for p in expect.values() for c in p), default=1)
+
+
+def test_distinct_counts():
+    t = get_table("F", 4)
+    assert (len(t), len(t._pool), t._cmax) == (231036, 312, 12)
+
+
+def test_pack_round_trip():
+    for coeffs in [(), (1,), (1, 1), (1, 0, 3), (-5, 2), (1, -(2**31)), (2**31 - 1, 7)]:
+        assert klpoly._unpack(klpoly._pack(coeffs)) == coeffs
+
+
+def test_build_width_guard(monkeypatch):
+    # B4 has the coefficient 5, outside the 3-bit balanced digits [-4, 4)
+    assert get_table("B", 4)._cmax == 5
+    expect = decoded_polys(get_table("B", 4))
+    monkeypatch.setattr(klpoly, "_WIDTH", 3)
+    with pytest.raises(AssertionError, match="do not fit in 3-bit digits"):
+        kl_table(get_group("B", 4))
+    # at 7 bits the guard holds and the unpacked table is the same
+    monkeypatch.setattr(klpoly, "_WIDTH", 7)
+    assert decoded_polys(kl_table(get_group("B", 4))) == expect
+
+
+def test_sum_width_guard_on_loaded_table(tmp_path, monkeypatch):
+    g = get_group("F", 4)
+    path = tmp_path / "f4.klv"
+    save_table(get_table("F", 4), path)
+    t = load_table(g, path)
+    assert t._cmax == 12
+    # 10-bit digits hold sums of up to 42 entries of F4's coefficients, so
+    # a block with |W_lambda| = 48 must not be summed
+    monkeypatch.setattr(klpoly, "_WIDTH", 10)
+    b = make_block(g, {1, 2, 3})
+    assert len(b.W_lambda) == 48
+    w = b.max_reps[0]
+    with pytest.raises(AssertionError, match="do not fit in 10-bit digits"):
+        nonkostant_block(g, {1, 2, 3}, t)
+    with pytest.raises(AssertionError, match="do not fit in 10-bit digits"):
+        klv_dominant(t, b, w, w)
+    with pytest.raises(AssertionError, match="do not fit in 10-bit digits"):
+        is_kostant(w, b, t)
+    # and a table loaded at that width is refused: a sum over all of F4
+    # could overflow a digit
+    with pytest.raises(InputError, match="coefficient out of range"):
+        load_table(g, path)
 
 
 def test_dynkin_symmetry():
@@ -162,7 +224,7 @@ def test_cache_round_trip(tmp_path):
     path = tmp_path / "b3.klv"
     save_table(t, path)
     t2 = load_table(g, path)
-    assert t2._poly == t._poly
+    assert t2._cols == t._cols
     for y in g.elements()[:10]:
         for w in g.elements():
             assert t2.polynomial(y, w) == t.polynomial(y, w)
@@ -218,7 +280,7 @@ def test_f4_cache_round_trip(tmp_path):
     t = get_table("F", 4)
     path = tmp_path / "f4.klv"
     save_table(t, path)
-    assert load_table(g, path)._poly == t._poly
+    assert load_table(g, path)._cols == t._cols
 
 
 @pytest.mark.parametrize("fam,rank,digest", [
@@ -228,6 +290,26 @@ def test_f4_cache_round_trip(tmp_path):
 def test_order_digest_pinned(fam, rank, digest):
     # Caches written by earlier versions load only while these stay equal.
     assert klpoly._order_digest(get_group(fam, rank)).hex() == digest
+
+
+@pytest.mark.parametrize("fam,rank,digest", [
+    ("B", 4, "b0c9675e33d0854abb1f0f8aff1e34e89aa340fbc0ce0986710498d2e62af95b"),
+    ("F", 4, "d88c35363a23f313052d350e6e8c467202bf05b8c1b5d13a0db3aa8cb9889910"),
+])
+def test_saved_cache_bytes_pinned(tmp_path, fam, rank, digest):
+    # the bytes the tuple-based KLV2 writer produced for the same tables
+    path = tmp_path / "t.klv"
+    save_table(get_table(fam, rank), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_cache_from_tuple_writer_loads(tmp_path):
+    # b4_klv2.klv.gz is a B4 cache written by the tuple-based KLV2 writer
+    path = tmp_path / "b4.klv"
+    path.write_bytes(gzip.decompress((DATA / "b4_klv2.klv.gz").read_bytes()))
+    t = load_table(get_group("B", 4), path)
+    fresh = kl_table(get_group("B", 4))
+    assert (t._cols, t._pool, t._cmax) == (fresh._cols, fresh._pool, fresh._cmax)
 
 
 def test_f4_inverse_symmetry():
@@ -314,7 +396,7 @@ def test_damaged_cache_loads_equal_or_is_rejected(b3_cache, data):
         t = load_table(g, path)
     except InputError:
         return
-    assert t._poly == get_table("B", 3)._poly
+    assert t._cols == get_table("B", 3)._cols
 
 
 def _resealed(data):
@@ -324,15 +406,33 @@ def _resealed(data):
     return bytes(data)
 
 
+def test_oversized_coefficient_rejected(tmp_path):
+    g = get_group("B", 3)
+    path = tmp_path / "b3.klv"
+    save_table(get_table("B", 3), path)
+    data = bytearray(path.read_bytes())
+    # the constant term of the first pool entry, after the header, the two
+    # counts and the entry's degree byte
+    data[55:59] = struct.pack("<i", 2**30)
+    path.write_bytes(_resealed(data))
+    with pytest.raises(InputError, match="coefficient out of range"):
+        load_table(g, path)
+
+
 def test_inconsistent_payload_rejected(tmp_path):
     g = get_group("B", 3)
     path = tmp_path / "b3.klv"
     save_table(get_table("B", 3), path)
     data = path.read_bytes()
-    n_polys, _ = struct.unpack_from("<II", data, 46)
+    n_polys, n_entries = struct.unpack_from("<II", data, 46)
     bad_index = data[:-4] + struct.pack("<I", n_polys)
+    ys = len(data) - 12 * n_entries  # offsets of the y and w arrays
+    ws = ys + 4 * n_entries
+    bad_y = data[:ys] + struct.pack("<I", g.order) + data[ys + 4:]
+    bad_w = data[:ws] + struct.pack("<I", g.order - 1) + data[ws + 4:]  # unsorted
     for bad, msg in [(bad_index, "pool index"), (data + b"\0", "entry arrays"),
-                     (data[:-1], "entry arrays")]:
+                     (data[:-1], "entry arrays"), (bad_y, "out of order or range"),
+                     (bad_w, "out of order or range")]:
         path.write_bytes(_resealed(bad))
         with pytest.raises(InputError, match=msg):
             load_table(g, path)

@@ -5,6 +5,7 @@ import pytest
 from helpers import get_group, shortlex_tables
 from singbgg import CartanType, build_group, positive_roots
 from singbgg.errors import BudgetError, ConfigurationError, InputError
+from singbgg.weyl import _compose
 
 
 def test_group_orders():
@@ -78,10 +79,10 @@ def test_longest_element_without_enumeration():
 
 
 def test_rmul_w0_indices():
-    g = get_group("B", 3)
-    w0 = g.longest_element()
-    rw0 = g.rmul_w0_indices()
-    assert rw0 == [(w * w0).index for w in g.elements()]
+    for fam, rank in [("B", 3), ("A", 4), ("B", 4), ("D", 4), ("F", 4)]:
+        g = get_group(fam, rank)
+        w0 = g._perms[-1]
+        assert g.rmul_w0_indices() == [g._index[_compose(p, w0)] for p in g._perms]
 
 
 def test_element_order_matches_index_order():
