@@ -1,10 +1,12 @@
 """Bruhat order: comparisons, covers and intervals against a subword oracle."""
 
+import random
+
 import pytest
 
 from helpers import get_group, reflection_covers, subword_leq
 from singbgg import build_group, CartanType, interval, leq, lower_covers, upper_covers
-from singbgg.bruhat import cover_graph
+from singbgg.bruhat import cover_graph, iter_indices
 from singbgg.errors import DomainError
 
 
@@ -64,3 +66,12 @@ def test_recursive_leq_without_enumeration():
             got = leq(small.from_word(wu), small.from_word(wv))
             ref = leq(full.from_word(wu), full.from_word(wv))
             assert got == ref
+
+
+def test_iter_indices_dense_and_sparse():
+    rng = random.Random(3)
+    masks = [0, 1, 2, 1 << 1000, (1 << 1152) - 1]
+    masks += [rng.getrandbits(2000) for _ in range(20)]  # dense
+    masks += [sum(1 << rng.randrange(4000) for _ in range(5)) for _ in range(20)]  # sparse
+    for m in masks:
+        assert list(iter_indices(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
