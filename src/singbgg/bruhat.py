@@ -136,17 +136,7 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def iter_indices(mask: int):
     """Indices of the set bits of mask, in increasing order.
 
-    A dense mask is read in one pass over its binary digits; a sparse one
-    (under one bit in 32) is stripped one low bit at a time.
+    The mask is read in one pass over its binary digits.
     """
-    if mask.bit_count() * 32 > mask.bit_length():
-        bits = bin(mask)[:1:-1].encode("ascii").translate(_BITS)
-        return compress(range(len(bits)), bits)
-    return _sparse_indices(mask)
-
-
-def _sparse_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    bits = bin(mask)[:1:-1].encode("ascii").translate(_BITS)
+    return compress(range(len(bits)), bits)

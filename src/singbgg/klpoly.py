@@ -6,8 +6,10 @@ q = 2**_WIDTH (Kronecker substitution).  This is an exact ring map from Z[q]
 to Z, so the recursion and the signed sums run on plain integers: sums stay
 sums, multiplying by q**k is multiplying by 1 << (_WIDTH * k).  Reading a
 polynomial back takes the balanced base-2**_WIDTH digits, which is exact
-while every coefficient lies in [-2**(_WIDTH - 1), 2**(_WIDTH - 1)); two
-guards raise AssertionError before a sum could leave that range.
+while every coefficient lies in [-2**(_WIDTH - 1), 2**(_WIDTH - 1)).  Two
+guards raise AssertionError before a value could leave that range: the
+build checks each column's recursion sum, and every table checks once that
+a signed sum of distinct entries, at most one per element of W, still fits.
 
 Storage is sparse: column w keeps only the y with P_{y,w} other than 0 and
 1, and the 0/1 distinction is read off the Bruhat-order bitmasks.  Stored
@@ -123,8 +125,9 @@ class KLTable:
     read as 0, comparable pairs as 1 unless column w stores them.  _cols[w]
     maps y to P_{y,w} packed at q = 2**_WIDTH, _pool maps each distinct
     stored value to its coefficient tuple, and _cmax is the largest
-    coefficient in absolute value (at least 1), which bounds the signed
-    sums.
+    coefficient in absolute value (at least 1).  A signed sum reads at most
+    one entry per element of W, so _cmax * |W| bounds its coefficients; the
+    table checks that bound once, and the sums do not check it again.
     """
 
     def __init__(self, group: WeylGroup, _entries: tuple | None = None):
@@ -133,10 +136,10 @@ class KLTable:
         self._down = down_masks(group)
         if _entries is None:
             _entries = self._build()
-        self._cols, self._pool = _entries
-        self._cmax = max((abs(c) for p in self._pool.values() for c in p), default=1)
+        self._cols, self._pool, self._cmax = _entries
+        _check_width(self._cmax * group.order)
 
-    def _build(self) -> tuple[list[dict[int, int]], dict[int, Coeffs]]:
+    def _build(self) -> tuple[list[dict[int, int]], dict[int, Coeffs], int]:
         g = self.group
         width = _WIDTH
         down = self._down
@@ -204,7 +207,7 @@ class KLTable:
                 col[yi] = p
                 if 2 * deg == d - 1:
                     row_mu.append((yi, lead))
-        return cols, pool
+        return cols, pool, cmax
 
     # -- reads -----------------------------------------------------------------
 
@@ -255,7 +258,6 @@ def klv_polynomial(
         for s in g._words[ui]:
             yui = g._rmul[s - 1][yui]
         terms.append((yui, -1 if g._lengths[ui] % 2 else 1))
-    _check_width(len(terms) * t._cmax)
     return IntPolynomial(_unpack(_dominant_sum(t, terms, z.index)))
 
 
@@ -271,17 +273,13 @@ def klv_dominant(
     if not leq(w, x):
         raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
     zi = b.group.rmul_w0_indices()[w.index]
-    terms = b._dominant_terms[x.index]
-    _check_width(len(terms) * t._cmax)
-    return IntPolynomial(_unpack(_dominant_sum(t, terms, zi)))
+    return IntPolynomial(_unpack(_dominant_sum(t, b._dominant_terms[x.index], zi)))
 
 
 def _dominant_sum(t: KLTable, terms, zi: int) -> int:
     """Signed sum of P_{y, z} over the (y, sign) terms, packed.
 
-    This is the scan's inner loop, so it reads the table directly and does
-    not check the width: a caller summing n terms first checks
-    n * t._cmax with _check_width, once for all sums of that length.
+    The y must be distinct; the table's width check then covers the sum.
     """
     down_z = t._down[zi]
     col = t._cols[zi]
@@ -430,16 +428,21 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
         raise InputError(f"{path}: corrupt cache file (pool index out of range)")
     if n_entries and (max(ys) >= n or ws[-1] >= n or ws.tolist() != sorted(ws)):
         raise InputError(f"{path}: corrupt cache file (entry index out of order or range)")
+    # the writer stores KL polynomials other than 0 and 1, each once: constant
+    # term 1, degree at least 1, no trailing zero
+    if any(len(p) < 2 or p[0] != 1 or p[-1] == 0 for p in pool):
+        raise InputError(f"{path}: corrupt cache file (pool polynomial not canonical)")
     values = [_pack(p) for p in pool]
+    if len(set(values)) != n_polys:
+        raise InputError(f"{path}: corrupt cache file (pool polynomial repeated)")
     cols = []
     a = 0
     for wi in range(n):
         b = bisect_left(ws, wi + 1, a)
         cols.append(dict(zip(ys[a:b], map(values.__getitem__, ks[a:b]))))
         a = b
-    t = KLTable(g, _entries=(cols, dict(zip(values, pool))))
-    # a sum reads at most n entries, so this keeps every later width check
-    # from failing on a loaded table
-    if t._cmax * n >= 1 << (_WIDTH - 1):
-        raise InputError(f"{path}: corrupt cache file (coefficient out of range)")
-    return t
+    cmax = max((abs(c) for p in pool for c in p), default=1)
+    try:
+        return KLTable(g, _entries=(cols, dict(zip(values, pool)), cmax))
+    except AssertionError:  # the table's width check
+        raise InputError(f"{path}: corrupt cache file (coefficient out of range)") from None

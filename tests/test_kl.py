@@ -111,8 +111,13 @@ def test_build_width_guard(monkeypatch):
     monkeypatch.setattr(klpoly, "_WIDTH", 3)
     with pytest.raises(AssertionError, match="do not fit in 3-bit digits"):
         kl_table(get_group("B", 4))
-    # at 7 bits the guard holds and the unpacked table is the same
-    monkeypatch.setattr(klpoly, "_WIDTH", 7)
+    # at 11 bits every column fits, but a signed sum of one entry per element
+    # could reach 5 * 384 = 1920, outside [-1024, 1024)
+    monkeypatch.setattr(klpoly, "_WIDTH", 11)
+    with pytest.raises(AssertionError, match="up to 1920 .* do not fit in 11-bit"):
+        kl_table(get_group("B", 4))
+    # at 12 bits both guards hold and the unpacked table is the same
+    monkeypatch.setattr(klpoly, "_WIDTH", 12)
     assert decoded_polys(kl_table(get_group("B", 4))) == expect
 
 
@@ -120,24 +125,17 @@ def test_sum_width_guard_on_loaded_table(tmp_path, monkeypatch):
     g = get_group("F", 4)
     path = tmp_path / "f4.klv"
     save_table(get_table("F", 4), path)
-    t = load_table(g, path)
-    assert t._cmax == 12
-    # 10-bit digits hold sums of up to 42 entries of F4's coefficients, so
-    # a block with |W_lambda| = 48 must not be summed
-    monkeypatch.setattr(klpoly, "_WIDTH", 10)
-    b = make_block(g, {1, 2, 3})
-    assert len(b.W_lambda) == 48
-    w = b.max_reps[0]
-    with pytest.raises(AssertionError, match="do not fit in 10-bit digits"):
-        nonkostant_block(g, {1, 2, 3}, t)
-    with pytest.raises(AssertionError, match="do not fit in 10-bit digits"):
-        klv_dominant(t, b, w, w)
-    with pytest.raises(AssertionError, match="do not fit in 10-bit digits"):
-        is_kostant(w, b, t)
-    # and a table loaded at that width is refused: a sum over all of F4
-    # could overflow a digit
+    expect = {S: nonkostant_block(g, S, get_table("F", 4)) for S in [frozenset({1, 2, 3}), frozenset({2, 4})]}
+    # a signed sum over F4 could reach 12 * 1152 = 13824, outside the 14-bit
+    # digits [-8192, 8192), so the table is refused before anything is summed
+    monkeypatch.setattr(klpoly, "_WIDTH", 14)
     with pytest.raises(InputError, match="coefficient out of range"):
         load_table(g, path)
+    # at 15 bits it loads and the block scans read the same
+    monkeypatch.setattr(klpoly, "_WIDTH", 15)
+    t = load_table(g, path)
+    assert t._cmax == 12
+    assert {S: nonkostant_block(g, S, t) for S in expect} == expect
 
 
 def test_dynkin_symmetry():
@@ -406,6 +404,22 @@ def _resealed(data):
     return bytes(data)
 
 
+def _with_pool(data, edit):
+    """data with its pool of coefficient tuples replaced by edit(pool)."""
+    n_polys, n_entries = struct.unpack_from("<II", data, 46)
+    off = 54
+    pool = []
+    for _ in range(n_polys):
+        deg = data[off]
+        pool.append(struct.unpack_from(f"<{deg + 1}i", data, off + 1))
+        off += 5 + 4 * deg
+    pool = edit(pool)
+    out = bytearray(data[:46]) + struct.pack("<II", len(pool), n_entries)
+    for p in pool:
+        out += struct.pack(f"<B{len(p)}i", len(p) - 1, *p)
+    return bytes(out) + data[off:]
+
+
 def test_inconsistent_payload_rejected(tmp_path):
     g = get_group("B", 3)
     path = tmp_path / "b3.klv"
@@ -417,12 +431,20 @@ def test_inconsistent_payload_rejected(tmp_path):
     ws = ys + 4 * n_entries
     bad_y = data[:ys] + struct.pack("<I", g.order) + data[ys + 4:]
     bad_w = data[:ws] + struct.pack("<I", g.order - 1) + data[ws + 4:]  # unsorted
-    # the constant term of the first pool entry, after the two counts and
-    # the entry's degree byte
-    big = data[:55] + struct.pack("<i", 2**30) + data[59:]
-    for bad, msg in [(bad_index, "pool index"), (data + b"\0", "entry arrays"),
-                     (data[:-1], "entry arrays"), (bad_y, "out of order or range"),
-                     (bad_w, "out of order or range"), (big, "coefficient out of range")]:
+    cases = [(bad_index, "pool index"), (data + b"\0", "entry arrays"),
+             (data[:-1], "entry arrays"), (bad_y, "out of order or range"),
+             (bad_w, "out of order or range")]
+    # pools the writer never makes: the first three would pack equal to
+    # another polynomial or to 1, the last would not fit a sum's digits
+    for edit, msg in [
+        (lambda p: [p[0] + (0,)] + p[1:], "pool polynomial not canonical"),
+        (lambda p: [(2,) + p[0][1:]] + p[1:], "pool polynomial not canonical"),
+        (lambda p: [(1,)] + p[1:], "pool polynomial not canonical"),
+        (lambda p: [p[0], p[0]] + p[2:], "pool polynomial repeated"),
+        (lambda p: [p[0][:-1] + (2**30,)] + p[1:], "coefficient out of range"),
+    ]:
+        cases.append((_with_pool(data, edit), msg))
+    for bad, msg in cases:
         path.write_bytes(_resealed(bad))
         with pytest.raises(InputError, match=msg):
             load_table(g, path)
