@@ -35,7 +35,7 @@ from .klpoly import (
 )
 from .mobius import mobius_lambda, support_X
 from .parabolic import make_block
-from .weyl import Element, WeylGroup, build_group
+from .weyl import Element, WeylGroup, build_group, check_budget
 
 def _word_str(w: Element) -> str:
     return "".join(str(i) for i in w.reduced_word()) or "e"
@@ -65,7 +65,10 @@ def _parse_singular(text: str) -> frozenset[int]:
 
 
 def _group(args) -> WeylGroup:
-    return build_group(CartanType(args.type.upper(), args.rank))
+    # Every subcommand needs the enumerated group: refuse before building it.
+    cartan = CartanType(args.type.upper(), args.rank)
+    check_budget(cartan)
+    return build_group(cartan)
 
 
 def _table(g: WeylGroup, args) -> KLTable:

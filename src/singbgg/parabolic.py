@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bruhat import leq
-from .cartan import CartanType, dot
+from .cartan import CartanType
 from .errors import DomainError, InputError
 from .weyl import Element, WeylGroup
 
@@ -241,22 +241,38 @@ def partition_pairs(
 
 
 def singularity_from_weight(cartan: CartanType, coords) -> frozenset[int]:
-    """Singular simple roots of a dominant weight given as lambda+rho coordinates."""
-    if cartan.family not in ("A", "B", "C", "D"):
+    """Singular simple roots of a dominant weight given as lambda+rho coordinates.
+
+    The coordinates are rationals in the usual epsilon basis (n+1 of them for
+    A_n, n for B_n, C_n, D_n), paired with the simple coroots e_i - e_{i+1}
+    and, for the last node, 2e_n (B), e_n (C) or e_{n-1} + e_n (D).
+    """
+    fam, n = cartan.family, cartan.rank
+    if fam not in ("A", "B", "C", "D"):
         raise InputError(
             "weight coordinates are supported for classical families only; "
             "specify the singularity set directly for exceptional types"
         )
-    expected_len = cartan.rank + 1 if cartan.family == "A" else cartan.rank
-    vec = tuple(Fraction(c) for c in coords)
-    if len(vec) != expected_len:
+    expected_len = n + 1 if fam == "A" else n
+    try:
+        v = tuple(Fraction(c) for c in coords)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InputError(
-            f"type {cartan} expects {expected_len} coordinates, got {len(vec)}"
+            f"weight coordinates must be finite rational numbers, got {coords!r}"
+        ) from None
+    if len(v) != expected_len:
+        raise InputError(
+            f"type {cartan} expects {expected_len} coordinates, got {len(v)}"
         )
-    simples = cartan.simple_root_vectors()
+    pairings = [v[i] - v[i + 1] for i in range(len(v) - 1)]
+    if fam == "B":
+        pairings.append(2 * v[-1])
+    elif fam == "C":
+        pairings.append(v[-1])
+    elif fam == "D":
+        pairings.append(v[-2] + v[-1])
     S = set()
-    for i, alpha in enumerate(simples, start=1):
-        pairing = dot(vec, alpha)
+    for i, pairing in enumerate(pairings, start=1):
         if pairing < 0:
             raise InputError(f"weight is not dominant: <lambda+rho, alpha_{i}> < 0")
         if pairing == 0:

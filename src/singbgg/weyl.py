@@ -2,8 +2,9 @@
 
 Elements act on the set of positive roots with sign flags: an element is
 stored as a tuple ``perm`` with ``perm[i] = +-(j+1)`` meaning that the i-th
-positive root is mapped to plus or minus the j-th positive root.  This gives
-O(N) multiplication for all types uniformly and no floating point anywhere.
+positive root is mapped to plus or minus the j-th positive root.  The simple
+reflections' permutations come from the integer Cartan matrix, so everything
+is integer arithmetic, with O(N) multiplication for all types uniformly.
 
 Groups of order up to the element budget (default 1152, override with the
 ``BGG_ELEMENT_BUDGET`` environment variable) are fully enumerated at build
@@ -16,10 +17,11 @@ element arithmetic but refuse full-table operations.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import total_ordering
 
-from .cartan import CartanType, RootVector, dot, positive_roots, reflect
+from .cartan import CartanType, Root, positive_roots, simple_reflection
 from .errors import BudgetError, InputError
 
 DEFAULT_ELEMENT_BUDGET = 1152
@@ -60,6 +62,19 @@ def _element_budget() -> int:
         raise InputError(f"BGG_ELEMENT_BUDGET must be an integer, got {raw!r}") from exc
 
 
+def check_budget(cartan: CartanType, budget: int | None = None) -> None:
+    """Raise BudgetError if the group of `cartan` is above the element budget."""
+    budget = _element_budget() if budget is None else budget
+    order = cartan.group_order
+    if order > budget:
+        # str() of an int with more than 4,300 digits raises ValueError.
+        size = str(order) if order < 10**100 else f"over 10^{int(math.log10(order))}"
+        raise BudgetError(
+            f"group {cartan} has {size} elements, above the budget of "
+            f"{budget}; raise BGG_ELEMENT_BUDGET to enable full-table operations"
+        )
+
+
 class WeylGroup:
     """Immutable presentation of a finite Weyl group.
 
@@ -69,15 +84,19 @@ class WeylGroup:
     def __init__(self, cartan: CartanType, budget: int | None = None):
         self.cartan = cartan
         self.budget = _element_budget() if budget is None else budget
-        self.positive_roots: list[RootVector] = positive_roots(cartan)
+        self.positive_roots: list[Root] = positive_roots(cartan)
         self.rank = cartan.rank
         self.order = cartan.group_order
         n_pos = len(self.positive_roots)
 
-        self.generator_perms: list[Perm] = []
-        for i in range(self.rank):
-            alpha = self.positive_roots[i]
-            self.generator_perms.append(self._root_action_perm(alpha))
+        # s_i sends alpha_i, the i-th root, to -alpha_i and permutes the rest.
+        a = cartan.cartan_matrix()
+        index = {r: k for k, r in enumerate(self.positive_roots)}
+        self.generator_perms: list[Perm] = [
+            tuple(-(i + 1) if k == i else index[simple_reflection(a, i, beta)] + 1
+                  for k, beta in enumerate(self.positive_roots))
+            for i in range(self.rank)
+        ]
         self.identity_perm: Perm = tuple(range(1, n_pos + 1))
 
         self._enumerated = False
@@ -93,19 +112,6 @@ class WeylGroup:
         self._rw0: list[int] | None = None
 
     # -- construction helpers -------------------------------------------------
-
-    def _root_action_perm(self, alpha: RootVector) -> Perm:
-        """Signed permutation of the positive roots induced by s_alpha."""
-        index = {r: i for i, r in enumerate(self.positive_roots)}
-        out = []
-        for beta in self.positive_roots:
-            gamma = reflect(beta, alpha)
-            if gamma in index:
-                out.append(index[gamma] + 1)
-            else:
-                neg = tuple(-c for c in gamma)
-                out.append(-(index[neg] + 1))
-        return tuple(out)
 
     def _enumerate(self) -> None:
         """Index the elements one length layer at a time, with no sort.
@@ -174,11 +180,7 @@ class WeylGroup:
 
     def require_enumerated(self) -> None:
         if not self._enumerated:
-            raise BudgetError(
-                f"group {self.cartan} has {self.order} elements, above the "
-                f"budget of {self.budget}; raise BGG_ELEMENT_BUDGET to enable "
-                f"full-table operations"
-            )
+            check_budget(self.cartan, self.budget)
 
     @property
     def identity(self) -> "Element":

@@ -73,8 +73,11 @@ def shortlex_tables(g):
 
 def reflection_covers(g):
     """Upper and lower covers by definition: u < t*u with l(t*u) = l(u) + 1
-    for a reflection t, rows sorted."""
-    reflections = [g._root_action_perm(alpha) for alpha in g.positive_roots]
+    for a reflection t, rows sorted.  The reflections are the conjugates
+    w*s*w^-1 of the simple reflections, one per positive root."""
+    reflections = {_compose(_compose(p, gp), _invert(p))
+                   for p in g._perms for gp in g.generator_perms}
+    assert len(reflections) == len(g.positive_roots)
     upper = [[] for _ in range(g.order)]
     lower = [[] for _ in range(g.order)]
     for i, p in enumerate(g._perms):

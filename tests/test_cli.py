@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from singbgg import weyl
 from singbgg.cli import main
 
 
@@ -134,6 +135,14 @@ def test_budget_exit_3(capsys):
     code, _, err = run(capsys, "nonkostant", "-t", "E", "-r", "6")
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_budget_checked_before_building(capsys):
+    # 2001! has more digits than int -> str converts by default.
+    code, out, err = run(capsys, "blocks", "-t", "A", "-r", "2000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not any(key[:2] == ("A", 2000) for key in weyl._GROUP_CACHE)
 
 
 def test_cache_flag(tmp_path, capsys):

@@ -27,3 +27,10 @@ def test_package_is_standard_library_only():
         if name.split(".")[0] not in sys.stdlib_module_names | {"singbgg"}
     }
     assert foreign == set()
+
+
+def test_fractions_only_for_weight_input():
+    # Root data are integers; only user weight coordinates are rationals.
+    users = {path.name for path in SRC.glob("*.py")
+             if "fractions" in set(_imported_modules(path))}
+    assert users == {"parabolic.py"}

@@ -132,6 +132,14 @@ def test_singularity_from_weight():
     assert singularity_from_weight(a3, (3, 2, 1, 0)) == frozenset()
     assert singularity_from_weight(a3, (Fraction(3, 2), 1, Fraction(1, 2), 0)) \
         == frozenset()
+    c3 = CartanType("C", 3)
+    d4 = CartanType("D", 4)
+    assert singularity_from_weight(c3, (2, 1, 0)) == {3}
+    assert singularity_from_weight(c3, (1, 1, 0)) == {1, 3}
+    assert singularity_from_weight(d4, (3, 2, 1, -1)) == {4}
+    assert singularity_from_weight(d4, (1, 1, 0, 0)) == {1, 3, 4}
+    assert singularity_from_weight(b3, (Fraction(1, 2), Fraction(1, 2), 0)) \
+        == {1, 3}
 
 
 def test_singularity_from_weight_errors():
@@ -142,6 +150,10 @@ def test_singularity_from_weight_errors():
         singularity_from_weight(a3, (1, 0, 0))  # wrong length
     with pytest.raises(InputError):
         singularity_from_weight(CartanType("F", 4), (1, 2, 3, 4))
+    for bad in [("x", 1, 1, 0), (None, 1, 1, 0), (float("nan"), 1, 1, 0),
+                (float("inf"), 1, 1, 0), ("1/0", 1, 1, 0), 5]:
+        with pytest.raises(InputError):
+            singularity_from_weight(a3, bad)
 
 
 def test_hat_map():

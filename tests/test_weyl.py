@@ -22,6 +22,29 @@ def test_positive_root_counts():
         assert len(positive_roots(CartanType(fam, rank))) == count
 
 
+@pytest.mark.parametrize("fam,rank,count,highest", [
+    ("B", 3, 9, (1, 2, 2)),
+    ("C", 3, 9, (2, 2, 1)),
+    ("D", 4, 12, (1, 2, 1, 1)),
+    ("G", 2, 6, (3, 2)),
+    ("F", 4, 24, (2, 3, 4, 2)),
+    ("E", 6, 36, (1, 2, 2, 3, 2, 1)),
+    ("E", 7, 63, (2, 2, 3, 4, 3, 2, 1)),
+    ("E", 8, 120, (2, 3, 4, 6, 5, 4, 3, 2)),
+])
+def test_positive_roots_in_simple_root_basis(fam, rank, count, highest):
+    # The highest root pins the Bourbaki convention: a transposed Cartan
+    # matrix gives the dual root system, with the same Weyl group.
+    roots = positive_roots(CartanType(fam, rank))
+    assert len(roots) == count
+    assert roots[-1] == highest
+    assert roots[:rank] == [tuple(int(i == j) for j in range(rank))
+                            for i in range(rank)]
+    assert all(type(c) is int and c >= 0 for r in roots for c in r)
+    heights = [sum(r) for r in roots]
+    assert heights == sorted(heights)
+
+
 def test_bad_cartan_rejected():
     for fam, rank in [("Z", 2), ("F", 3), ("G", 3), ("E", 5), ("D", 2), ("A", 0)]:
         with pytest.raises(ConfigurationError):
