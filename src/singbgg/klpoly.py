@@ -17,6 +17,11 @@ values are interned, so equal polynomials share one int and the table keeps
 a pool of the distinct ones with their coefficient tuples.  Tuples and
 IntPolynomial are built only when a polynomial leaves the module.
 
+A table loaded from the binary cache validates the whole file at load time
+but keeps the entries as the file's index arrays; a column's dict is built
+the first time something reads that column, so a query that reads a few
+columns decodes only those.
+
 The singular variants are alternating sums of ordinary entries over a
 parabolic subgroup.  The dominant-side variant, the one the exactness test
 reads, is the same sum for the singularity set conjugated by the longest
@@ -123,11 +128,13 @@ class KLTable:
 
     Entries are read by element index pairs (y, w); pairs with y not below w
     read as 0, comparable pairs as 1 unless column w stores them.  _cols[w]
-    maps y to P_{y,w} packed at q = 2**_WIDTH, _pool maps each distinct
-    stored value to its coefficient tuple, and _cmax is the largest
-    coefficient in absolute value (at least 1).  A signed sum reads at most
-    one entry per element of W, so _cmax * |W| bounds its coefficients; the
-    table checks that bound once, and the sums do not check it again.
+    maps y to P_{y,w} packed at q = 2**_WIDTH (a list for a built table, a
+    _Columns for a loaded one), _stored counts the stored entries, _pool
+    maps each distinct stored value to its coefficient tuple, and _cmax is
+    the largest coefficient in absolute value (at least 1).  A signed sum
+    reads at most one entry per element of W, so _cmax * |W| bounds its
+    coefficients; the table checks that bound once, and the sums do not
+    check it again.
     """
 
     def __init__(self, group: WeylGroup, _entries: tuple | None = None):
@@ -136,10 +143,10 @@ class KLTable:
         self._down = down_masks(group)
         if _entries is None:
             _entries = self._build()
-        self._cols, self._pool, self._cmax = _entries
+        self._cols, self._stored, self._pool, self._cmax = _entries
         _check_width(self._cmax * group.order)
 
-    def _build(self) -> tuple[list[dict[int, int]], dict[int, Coeffs], int]:
+    def _build(self) -> tuple[list[dict[int, int]], int, dict[int, Coeffs], int]:
         g = self.group
         width = _WIDTH
         down = self._down
@@ -207,7 +214,7 @@ class KLTable:
                 col[yi] = p
                 if 2 * deg == d - 1:
                     row_mu.append((yi, lead))
-        return cols, pool, cmax
+        return cols, sum(map(len, cols)), pool, cmax
 
     # -- reads -----------------------------------------------------------------
 
@@ -223,8 +230,33 @@ class KLTable:
         """P_{y,w}; 0 when y is not below w in Bruhat order."""
         return IntPolynomial(self.polynomial_by_index(y.index, w.index))
 
+    def _columns(self):
+        """The column dicts {y: packed P_{y,w}} in index order of w."""
+        return map(self._cols.__getitem__, range(self.group.order))
+
     def __len__(self) -> int:
-        return sum(map(len, self._cols))
+        return self._stored
+
+
+class _Columns(dict):
+    """Columns of a loaded table, w -> {y: packed P_{y,w}}, each decoded
+    from the cache's index arrays the first time it is read.
+
+    ys and ks are the file's y and pool-index arrays, entries
+    bounds[w]:bounds[w + 1] form column w, and values[k] is the packed pool
+    polynomial k.  Once decoded, a column is read by a plain dict lookup.
+    """
+
+    __slots__ = ("_ys", "_ks", "_bounds", "_values")
+
+    def __init__(self, ys: array, ks: array, bounds: list[int], values: list[int]):
+        super().__init__()
+        self._ys, self._ks, self._bounds, self._values = ys, ks, bounds, values
+
+    def __missing__(self, wi: int) -> dict[int, int]:
+        a, b = self._bounds[wi], self._bounds[wi + 1]
+        col = self[wi] = dict(zip(self._ys[a:b], map(self._values.__getitem__, self._ks[a:b])))
+        return col
 
 
 def kl_table(g: WeylGroup) -> KLTable:
@@ -300,11 +332,15 @@ def _dominant_sum(t: KLTable, terms, zi: int) -> int:
 #   the pool: each distinct stored polynomial once, as degree (u8) and
 #   degree + 1 int32 coefficients,
 #   three u32 arrays of n_entries each, y, w and the pool index, sorted by (w, y).
+#
+# load_table checks all of it before it returns, then keeps the y and pool
+# index arrays as they are and decodes a column on its first read.
 
 _MAGIC = b"KLV2"
 _OLD_MAGICS = (b"KLV1",)
 _HEADER = struct.Struct("<4scBI32sI")
 _U32 = "I"
+_U32LE = struct.Struct("<I")
 
 
 def _order_digest(g: WeylGroup) -> bytes:
@@ -344,7 +380,7 @@ def save_table(t: KLTable, path) -> None:
     g = t.group
     pool: dict[int, int] = {}
     ys, ws, ks = [], [], []
-    for wi, col in enumerate(t._cols):
+    for wi, col in enumerate(t._columns()):
         for yi in sorted(col):
             ys.append(yi)
             ws.append(wi)
@@ -377,7 +413,9 @@ def save_table(t: KLTable, path) -> None:
 
 def load_table(g: WeylGroup, path) -> KLTable:
     """Read a table cache and validate its header, order digest and
-    checksum against g.
+    checksum against g, and its payload's structure.
+
+    Every check runs here; the columns are decoded on first read.
 
     A file that cannot be read or decoded raises InputError.
     """
@@ -426,7 +464,15 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
                   for j in range(3))
     if n_entries and max(ks) >= n_polys:
         raise InputError(f"{path}: corrupt cache file (pool index out of range)")
-    if n_entries and (max(ys) >= n or ws[-1] >= n or ws.tolist() != sorted(ws)):
+    # bounds[w] is where column w starts if ws is sorted; ws is sorted with
+    # every value below n exactly when it equals the runs the bounds imply
+    bounds = [0]
+    for wi in range(1, n + 1):
+        bounds.append(bisect_left(ws, wi, bounds[-1]))
+    runs = b"".join(map(bytes.__mul__, map(_U32LE.pack, range(n)),
+                        map(int.__sub__, bounds[1:], bounds)))
+    woff = off + 4 * n_entries
+    if (n_entries and max(ys) >= n) or runs != data[woff:woff + 4 * n_entries]:
         raise InputError(f"{path}: corrupt cache file (entry index out of order or range)")
     # the writer stores KL polynomials other than 0 and 1, each once: constant
     # term 1, degree at least 1, no trailing zero
@@ -435,14 +481,9 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
     values = [_pack(p) for p in pool]
     if len(set(values)) != n_polys:
         raise InputError(f"{path}: corrupt cache file (pool polynomial repeated)")
-    cols = []
-    a = 0
-    for wi in range(n):
-        b = bisect_left(ws, wi + 1, a)
-        cols.append(dict(zip(ys[a:b], map(values.__getitem__, ks[a:b]))))
-        a = b
+    cols = _Columns(ys, ks, bounds, values)
     cmax = max((abs(c) for p in pool for c in p), default=1)
     try:
-        return KLTable(g, _entries=(cols, dict(zip(values, pool)), cmax))
+        return KLTable(g, _entries=(cols, n_entries, dict(zip(values, pool)), cmax))
     except AssertionError:  # the table's width check
         raise InputError(f"{path}: corrupt cache file (coefficient out of range)") from None

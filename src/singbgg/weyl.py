@@ -65,14 +65,20 @@ def _element_budget() -> int:
 def check_budget(cartan: CartanType, budget: int | None = None) -> None:
     """Raise BudgetError if the group of `cartan` is above the element budget."""
     budget = _element_budget() if budget is None else budget
-    order = cartan.group_order
-    if order > budget:
+    if cartan.rank >= budget.bit_length():
+        # |W| >= 2**rank for every type, so this is over the budget without
+        # computing |W|, a factorial that takes seconds at rank 10**6.
+        size = f"at least 2^{cartan.rank}"
+    else:
+        order = cartan.group_order
+        if order <= budget:
+            return
         # str() of an int with more than 4,300 digits raises ValueError.
         size = str(order) if order < 10**100 else f"over 10^{int(math.log10(order))}"
-        raise BudgetError(
-            f"group {cartan} has {size} elements, above the budget of "
-            f"{budget}; raise BGG_ELEMENT_BUDGET to enable full-table operations"
-        )
+    raise BudgetError(
+        f"group {cartan} has {size} elements, above the budget of "
+        f"{budget}; raise BGG_ELEMENT_BUDGET to enable full-table operations"
+    )
 
 
 class WeylGroup:

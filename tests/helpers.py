@@ -181,6 +181,7 @@ def tuple_kl_polys(g):
 
 
 def decoded_polys(t):
-    """{(y, w): coefficients} of the entries a KLTable stores, unpacked."""
+    """{(y, w): coefficients} of the entries a KLTable stores, unpacked;
+    reads every column, through the table's iteration path."""
     return {(y, w): klpoly._unpack(p)
-            for w, col in enumerate(t._cols) for y, p in col.items()}
+            for w, col in enumerate(t._columns()) for y, p in col.items()}

@@ -6,8 +6,9 @@ import struct
 
 import pytest
 
-from singbgg import weyl
+from singbgg import CartanType, weyl
 from singbgg.cli import main
+from singbgg.errors import BudgetError
 
 
 def run(capsys, *argv):
@@ -143,6 +144,19 @@ def test_budget_checked_before_building(capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error:") and "Traceback" not in err
     assert not any(key[:2] == ("A", 2000) for key in weyl._GROUP_CACHE)
+
+
+def test_budget_decided_without_group_order(capsys, monkeypatch):
+    # |W| >= 2^rank, so A10^6 is over any budget below 2^(10^6) without the
+    # factorial behind group_order (seconds at this rank)
+    def no_order(self):
+        raise AssertionError("group_order evaluated")
+    monkeypatch.setattr(CartanType, "group_order", property(no_order))
+    with pytest.raises(BudgetError, match=r"at least 2\^1000000 elements"):
+        weyl.check_budget(CartanType("A", 10**6))
+    code, out, err = run(capsys, "blocks", "-t", "A", "-r", str(10**6))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and len(err) < 200
 
 
 def test_cache_flag(tmp_path, capsys):

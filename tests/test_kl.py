@@ -222,7 +222,7 @@ def test_cache_round_trip(tmp_path):
     path = tmp_path / "b3.klv"
     save_table(t, path)
     t2 = load_table(g, path)
-    assert t2._cols == t._cols
+    assert decoded_polys(t2) == decoded_polys(t)
     for y in g.elements()[:10]:
         for w in g.elements():
             assert t2.polynomial(y, w) == t.polynomial(y, w)
@@ -278,7 +278,35 @@ def test_f4_cache_round_trip(tmp_path):
     t = get_table("F", 4)
     path = tmp_path / "f4.klv"
     save_table(t, path)
-    assert load_table(g, path)._cols == t._cols
+    assert decoded_polys(load_table(g, path)) == decoded_polys(t)
+
+
+def test_loaded_table_decodes_columns_on_first_read(tmp_path):
+    g = get_group("F", 4)
+    path = tmp_path / "f4.klv"
+    save_table(get_table("F", 4), path)
+    t = load_table(g, path)
+    assert len(t._cols) == 0  # decoded columns so far
+    assert len(t) == len(get_table("F", 4)) == 231036
+    assert len(t._cols) == 0
+    y, w = g.from_word([1]), g.from_word([2, 3, 2, 1, 2, 3, 2])
+    assert t.polynomial(y, w) == get_table("F", 4).polynomial(y, w)
+    assert list(t._cols) == [w.index]
+    # a block scan reads the column w w0 of each longest representative w
+    t = load_table(g, path)
+    S = frozenset({2})
+    assert nonkostant_block(g, S, t) == nonkostant_block(g, S, get_table("F", 4))
+    rw0 = g.rmul_w0_indices()
+    assert set(t._cols) == {rw0[w.index] for w in make_block(g, S).max_reps}
+    assert len(t._cols) == 576
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 4), ("F", 4)])
+def test_loaded_table_saves_identical_bytes(tmp_path, fam, rank):
+    path, again = tmp_path / "t.klv", tmp_path / "again.klv"
+    save_table(get_table(fam, rank), path)
+    save_table(load_table(get_group(fam, rank), path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("fam,rank,digest", [
@@ -307,7 +335,7 @@ def test_cache_from_tuple_writer_loads(tmp_path):
     path.write_bytes(gzip.decompress((DATA / "b4_klv2.klv.gz").read_bytes()))
     t = load_table(get_group("B", 4), path)
     fresh = kl_table(get_group("B", 4))
-    assert (t._cols, t._pool, t._cmax) == (fresh._cols, fresh._pool, fresh._cmax)
+    assert (decoded_polys(t), t._pool, t._cmax) == (decoded_polys(fresh), fresh._pool, fresh._cmax)
 
 
 def test_f4_inverse_symmetry():
@@ -394,7 +422,7 @@ def test_damaged_cache_loads_equal_or_is_rejected(b3_cache, data):
         t = load_table(g, path)
     except InputError:
         return
-    assert t._cols == get_table("B", 3)._cols
+    assert decoded_polys(t) == decoded_polys(get_table("B", 3))
 
 
 def _resealed(data):
@@ -420,6 +448,38 @@ def _with_pool(data, edit):
     return bytes(out) + data[off:]
 
 
+def _with_entries(data, edit):
+    """data with its y, w and pool-index arrays replaced by edit(ys, ws, ks)."""
+    n_entries = struct.unpack_from("<I", data, 50)[0]
+    off = len(data) - 12 * n_entries
+    arrays = [list(struct.unpack_from(f"<{n_entries}I", data, off + 4 * n_entries * j))
+              for j in range(3)]
+    return data[:off] + b"".join(struct.pack(f"<{n_entries}I", *a) for a in edit(*arrays))
+
+
+def _descent(ys, ws, ks):
+    """ws lowered by one in the middle of a run, below its predecessor."""
+    i = len(ws) // 2
+    while ws[i - 1] != ws[i]:
+        i += 1
+    return ys, ws[:i] + [ws[i] - 1] + ws[i + 1:], ks
+
+
+def _runs_swapped(ys, ws, ks):
+    """Two neighbouring middle columns' entries swapped as whole runs: each
+    entry stays valid, but the w array is out of order."""
+    a = len(ws) // 2
+    while ws[a - 1] == ws[a]:
+        a -= 1
+    b = a
+    while ws[b] == ws[a]:
+        b += 1
+    c = b
+    while ws[c] == ws[b]:
+        c += 1
+    return [x[:a] + x[b:c] + x[a:b] + x[c:] for x in (ys, ws, ks)]
+
+
 def test_inconsistent_payload_rejected(tmp_path):
     g = get_group("B", 3)
     path = tmp_path / "b3.klv"
@@ -431,9 +491,12 @@ def test_inconsistent_payload_rejected(tmp_path):
     ws = ys + 4 * n_entries
     bad_y = data[:ys] + struct.pack("<I", g.order) + data[ys + 4:]
     bad_w = data[:ws] + struct.pack("<I", g.order - 1) + data[ws + 4:]  # unsorted
+    last_w_n = _with_entries(data, lambda y, w, k: (y, w[:-1] + [g.order], k))
     cases = [(bad_index, "pool index"), (data + b"\0", "entry arrays"),
              (data[:-1], "entry arrays"), (bad_y, "out of order or range"),
-             (bad_w, "out of order or range")]
+             (bad_w, "out of order or range"), (last_w_n, "out of order or range"),
+             (_with_entries(data, _descent), "out of order or range"),
+             (_with_entries(data, _runs_swapped), "out of order or range")]
     # pools the writer never makes: the first three would pack equal to
     # another polynomial or to 1, the last would not fit a sum's digits
     for edit, msg in [
