@@ -55,7 +55,7 @@ from .parabolic import (
     partition_pairs,
     singularity_from_weight,
 )
-from .weyl import Element, WeylGroup, build_group, longest_element
+from .weyl import Element, WeylGroup, build_group
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "kostant_decompose",
     "leq",
     "load_table",
-    "longest_element",
     "lower_covers",
     "make_block",
     "mobius_lambda",

@@ -92,21 +92,6 @@ def _emit_json(payload) -> None:
     sys.stdout.write("\n")
 
 
-def emit_table(g: WeylGroup, S: frozenset[int], bad, flags, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json({
-            "cartan": g.cartan.family,
-            "rank": g.rank,
-            "singular": sorted(S),
-            "results": [
-                {"w": list(w.reduced_word()), "kostant": ok} for w, ok in flags
-            ],
-        })
-    else:
-        for w in bad:
-            print(f"({_word_str(w)})")
-
-
 def emit_dot(sk) -> str:
     b = sk.block
     support = set()
@@ -161,12 +146,20 @@ def _cmd_nonkostant(args) -> int:
     S = _parse_singular(args.singular)
     t = _table(g, args)
     bad = nonkostant_block(g, S, t)
-    flags = []
     if args.format == "json":
-        badset = set(bad)
-        b = make_block(g, S)
-        flags = [(w, w not in badset) for w in b.max_reps]
-    emit_table(g, S, bad, flags, args.format)
+        bad_indices = {w.index for w in bad}
+        _emit_json({
+            "cartan": g.cartan.family,
+            "rank": g.rank,
+            "singular": sorted(S),
+            "results": [
+                {"w": list(g._words[wi]), "kostant": wi not in bad_indices}
+                for wi in make_block(g, S)._maxrep_indices
+            ],
+        })
+    else:
+        for w in bad:
+            print(f"({_word_str(w)})")
     return 0
 
 

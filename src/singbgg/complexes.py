@@ -7,13 +7,18 @@ equality edges; cutting those out leaves the singular skeleton supported on
 X_w.  Exactness of the singular complex is decided purely combinatorially:
 for every x above w in the block poset the dominant-side singular polynomial
 must equal the absolute value of the block Möbius number.
+
+Every stage is built on element indices: the up mask of w, the cover graph,
+the coset table and the index matchings of `parabolic`.  Index order is
+(length, ShortLex word) order, so vertices and edges come out sorted with no
+sort.  An Element is made once per vertex; edges share their endpoints'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .bruhat import iter_indices, leq, up_masks, upper_covers
+from .bruhat import cover_graph, iter_indices, up_masks
 from .errors import DomainError
 from .klpoly import KLTable, _dominant_sum
 from .mobius import _mobius_row, support_X
@@ -39,37 +44,24 @@ class ComplexSkeleton:
     base: Element
     block: SingularBlock
     vertices: list[tuple[Element, int]]  # (element, degree), sorted
-    edges: list[SkeletonEdge]
+    edges: list[SkeletonEdge]  # sorted by (target, source)
     kind: str  # "regular", "translated" or "singular"
-
-    def degree_of(self, x: Element) -> int:
-        for v, i in self.vertices:
-            if v == x:
-                return i
-        raise DomainError(f"{x!r} is not a vertex")
 
     def elements(self) -> list[Element]:
         return [v for v, _ in self.vertices]
-
-
-def _edge_key(e: SkeletonEdge):
-    return (e.target.length, e.target.reduced_word(), e.source.reduced_word())
 
 
 def regular_skeleton(g: WeylGroup, w: Element) -> ComplexSkeleton:
     """Full interval [w, w0] with cover arrows, graded by l(x) - l(w)."""
     b = make_block(g, frozenset())
     lw = w.length
-    verts = []
-    edges = []
-    for xi in iter_indices(up_masks(g)[w.index]):
-        x = g.element_by_index(xi)
-        verts.append((x, x.length - lw))
-        for xp in upper_covers(x):
-            edges.append(SkeletonEdge(source=xp, target=x, kind="morphism"))
-    verts.sort(key=lambda p: (p[1], p[0].reduced_word()))
-    edges.sort(key=_edge_key)
-    return ComplexSkeleton(base=w, block=b, vertices=verts, edges=edges, kind="regular")
+    upper = cover_graph(g).upper
+    verts = {xi: g.element_by_index(xi) for xi in iter_indices(up_masks(g)[w.index])}
+    # the upper covers of x >= w lie in [w, w0], each row ascending
+    edges = [SkeletonEdge(source=verts[yi], target=x, kind="morphism")
+             for xi, x in verts.items() for yi in upper[xi]]
+    vertices = [(x, x.length - lw) for x in verts.values()]
+    return ComplexSkeleton(base=w, block=b, vertices=vertices, edges=edges, kind="regular")
 
 
 def translate_skeleton(sk: ComplexSkeleton, b: SingularBlock) -> ComplexSkeleton:
@@ -77,12 +69,11 @@ def translate_skeleton(sk: ComplexSkeleton, b: SingularBlock) -> ComplexSkeleton
     if sk.kind != "regular":
         raise DomainError(f"translation applies to regular skeletons, got {sk.kind}")
     coset_of = b._coset_of
-    edges = []
-    for e in sk.edges:
-        if coset_of[e.source.index] == coset_of[e.target.index]:
-            edges.append(replace(e, kind="equality", sign=None))
-        else:
-            edges.append(e)
+    edges = [
+        SkeletonEdge(source=e.source, target=e.target, kind="equality")
+        if coset_of[e.source.index] == coset_of[e.target.index] else e
+        for e in sk.edges
+    ]
     return ComplexSkeleton(
         base=sk.base, block=b, vertices=list(sk.vertices), edges=edges,
         kind="translated",
@@ -95,46 +86,37 @@ def cut_equalities(sk: ComplexSkeleton) -> ComplexSkeleton:
     if sk.kind != "translated":
         raise DomainError(f"cut applies to translated skeletons, got {sk.kind}")
     b = sk.block
-    w = sk.base
-    cosets: dict[int, list[Element]] = {}
-    for v in sk.elements():
-        cosets.setdefault(b._coset_of[v.index], []).append(v)
-    survivors = []
-    for members in cosets.values():
-        if len(members) == 1:
-            x = members[0]
-            if not b.contains_max_rep(x):
+    g = b.group
+    coset_of = b._coset_of
+    members: dict[int, list[int]] = {}
+    for v, _ in sk.vertices:
+        members.setdefault(coset_of[v.index], []).append(v.index)
+    up_w = up_masks(g)[sk.base.index]
+    for zs in members.values():
+        if len(zs) == 1:
+            if not b._maxrep_mask >> zs[0] & 1:
                 raise AssertionError(
-                    f"lone coset element {x!r} is not the longest representative"
+                    f"lone coset element {g.element_by_index(zs[0])!r} is not "
+                    f"the longest representative"
                 )
-            survivors.append(x)
-        else:
-            # validates the matching; every paired vertex is removed
-            pairs = _intersection_pairs(members, b)
-            if 2 * len(pairs) != len(members):
-                raise AssertionError("equality matching is not perfect")
-    lw = w.length
-    verts = sorted(
-        ((x, x.length - lw) for x in survivors),
-        key=lambda p: (p[1], p[0].reduced_word()),
-    )
-    edges = _stratum_edges(verts)
-    return ComplexSkeleton(base=w, block=b, vertices=verts, edges=edges, kind="singular")
+        # validates the matching; every paired vertex is removed
+        elif 2 * len(_intersection_pairs(zs[0], up_w, b)) != len(zs):
+            raise AssertionError("equality matching is not perfect")
+    verts = [(v, i) for v, i in sk.vertices if len(members[coset_of[v.index]]) == 1]
+    return ComplexSkeleton(base=sk.base, block=b, vertices=verts,
+                           edges=_stratum_edges(verts, g), kind="singular")
 
 
-def _stratum_edges(verts: list[tuple[Element, int]]) -> list[SkeletonEdge]:
+def _stratum_edges(verts: list[tuple[Element, int]], g: WeylGroup) -> list[SkeletonEdge]:
+    """Arrows x' -> x between vertices one degree apart with x <= x'; the
+    vertices are in index order, so the arrows come out sorted by target."""
     by_deg: dict[int, list[Element]] = {}
     for x, i in verts:
         by_deg.setdefault(i, []).append(x)
-    edges = []
-    for i, lower in sorted(by_deg.items()):
-        for xp in by_deg.get(i + 1, ()):
-            for x in lower:
-                if leq(x, xp):
-                    edges.append(SkeletonEdge(source=xp, target=x, kind="morphism"))
-    edges.sort(key=lambda e: (e.target.length, e.target.reduced_word(),
-                              e.source.reduced_word()))
-    return edges
+    up = up_masks(g)
+    return [SkeletonEdge(source=xp, target=x, kind="morphism")
+            for x, i in verts for xp in by_deg.get(i + 1, ())
+            if up[x.index] >> xp.index & 1]
 
 
 def singular_skeleton(w: Element, b: SingularBlock) -> ComplexSkeleton:
@@ -146,7 +128,8 @@ def singular_skeleton(w: Element, b: SingularBlock) -> ComplexSkeleton:
         (x, i) for i, stratum in enumerate(gs.strata) for x in stratum
     ]
     return ComplexSkeleton(
-        base=w, block=b, vertices=verts, edges=_stratum_edges(verts), kind="singular",
+        base=w, block=b, vertices=verts, edges=_stratum_edges(verts, b.group),
+        kind="singular",
     )
 
 
@@ -157,21 +140,23 @@ def assign_signs(sk: ComplexSkeleton) -> ComplexSkeleton:
     if sk.kind != "regular":
         raise DomainError(f"signs are assigned to regular skeletons, got {sk.kind}")
     edges = sk.edges
-    var = {(e.source, e.target): i for i, e in enumerate(edges)}
-    out_arrows: dict[Element, list[Element]] = {}
-    for e in edges:
-        out_arrows.setdefault(e.source, []).append(e.target)
+    # arrows as (source, target) index pairs -> variable
+    var = {(e.source.index, e.target.index): i for i, e in enumerate(edges)}
+    out_arrows: dict[int, list[int]] = {}
+    for src, dst in var:
+        out_arrows.setdefault(src, []).append(dst)
 
     rows: list[tuple[int, int]] = []  # (variable bitmask, rhs bit)
     for top, mids in out_arrows.items():
-        bottoms: dict[Element, list[Element]] = {}
+        bottoms: dict[int, list[int]] = {}
         for y in mids:
             for z in out_arrows.get(y, ()):
                 bottoms.setdefault(z, []).append(y)
         for z, ys in bottoms.items():
             if len(ys) != 2:
+                el = sk.block.group.element_by_index
                 raise AssertionError(
-                    f"length-two interval [{z!r}, {top!r}] has {len(ys)} "
+                    f"length-two interval [{el(z)!r}, {el(top)!r}] has {len(ys)} "
                     f"intermediate elements, expected 2"
                 )
             y1, y2 = ys
@@ -200,7 +185,9 @@ def assign_signs(sk: ComplexSkeleton) -> ComplexSkeleton:
         bit = rhs ^ (bin((mask ^ (1 << p)) & sol).count("1") & 1)
         sol |= bit << p
     signed = [
-        replace(e, sign=-1 if sol >> i & 1 else 1) for i, e in enumerate(edges)
+        SkeletonEdge(source=e.source, target=e.target, kind=e.kind,
+                     sign=-1 if sol >> i & 1 else 1)
+        for i, e in enumerate(edges)
     ]
     return ComplexSkeleton(
         base=sk.base, block=sk.block, vertices=list(sk.vertices), edges=signed,
@@ -252,8 +239,9 @@ def s_category_has_bgg(w: Element, b: SingularBlock, t: KLTable) -> bool:
     """Whether the quotient-category image of the simple module of w admits a
     BGG resolution: equivalent to exactness for the inverse element's
     singular parameter."""
-    if not b.contains_max_rep(w.inverse()):
+    wi = b.group._inv[w.index]
+    if not b._maxrep_mask >> wi & 1:
         raise DomainError(
             f"{w!r} is not a longest right-coset representative"
         )
-    return is_kostant(w.inverse(), b, t)
+    return _is_kostant_index(wi, b, t)

@@ -39,6 +39,7 @@ import tempfile
 import zlib
 from array import array
 from bisect import bisect_left
+from operator import lt
 
 from .bruhat import down_masks, iter_indices, leq
 from .errors import DomainError, InputError
@@ -280,16 +281,12 @@ def klv_polynomial(
 
     Both arguments must be minimal coset representatives for b_mu.
     """
-    g = t.group
     for e in (y, z):
         if not b_mu.contains_min_rep(e):
             raise DomainError(f"{e!r} is not a minimal coset representative")
-    terms = []
-    for ui in b_mu._wlambda_indices:
-        yui = y.index
-        for s in g._words[ui]:
-            yui = g._rmul[s - 1][yui]
-        terms.append((yui, -1 if g._lengths[ui] % 2 else 1))
+    lengths = t.group._lengths
+    terms = [(yu, -1 if lengths[u] % 2 else 1)
+             for u, yu in zip(b_mu._wlambda_indices, b_mu._coset_indices(y.index))]
     return IntPolynomial(_unpack(_dominant_sum(t, terms, z.index)))
 
 
@@ -472,7 +469,11 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
     runs = b"".join(map(bytes.__mul__, map(_U32LE.pack, range(n)),
                         map(int.__sub__, bounds[1:], bounds)))
     woff = off + 4 * n_entries
-    if (n_entries and max(ys) >= n) or runs != data[woff:woff + 4 * n_entries]:
+    # the ys of a column strictly increase, so its last y is its largest
+    if runs != data[woff:woff + 4 * n_entries] or any(
+        col and (col[-1] >= n or not all(map(lt, col, col[1:])))
+        for col in map(ys.__getitem__, map(slice, bounds, bounds[1:]))
+    ):
         raise InputError(f"{path}: corrupt cache file (entry index out of order or range)")
     # the writer stores KL polynomials other than 0 and 1, each once: constant
     # term 1, degree at least 1, no trailing zero

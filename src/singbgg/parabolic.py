@@ -7,13 +7,18 @@ W_lambda.  The block object carries the minimal coset representatives
 right-coset analogues obtained by inversion.  It also keeps two O(|W|)
 index tables for the exactness scan: the coset of every element and the
 dominant-side terms of every longest representative.
+
+The coset helpers and matchings work on element indices and Bruhat-order
+bitmasks, and make Elements only for the results they return.  Their one
+coset walk is `SingularBlock._coset_indices`: m u for u in W_lambda, from the
+minimal representative m along the right multiplication table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bruhat import leq
+from .bruhat import down_masks, leq, up_masks
 from .cartan import CartanType
 from .errors import DomainError, InputError
 from .weyl import Element, WeylGroup
@@ -120,7 +125,21 @@ class SingularBlock:
 
     def coset(self, x: Element) -> list[Element]:
         """The coset x W_lambda, as elements."""
-        return sorted(x * t for t in self.W_lambda)
+        return [self.group.element_by_index(i)
+                for i in sorted(self._coset_indices(x.index))]
+
+    def _coset_indices(self, xi: int) -> list[int]:
+        """Indices of m u for u in W_lambda, in _wlambda_indices order, where
+        m is the minimal representative of the coset of element xi."""
+        g = self.group
+        m = self._coset_of[xi]
+        out = []
+        for u in self._wlambda_indices:
+            z = m
+            for s in g._words[u]:
+                z = g._rmul[s - 1][z]
+            out.append(z)
+        return out
 
     def __repr__(self) -> str:
         return f"SingularBlock({self.group.cartan}, S={sorted(self.S)})"
@@ -151,11 +170,6 @@ def kostant_decompose(v: Element, b: SingularBlock) -> tuple[Element, Element]:
         tail = s * tail
 
 
-def _component(v: Element, b: SingularBlock) -> Element:
-    """The W_lambda factor of kostant_decompose(v, b), read off the coset table."""
-    return b.group.element_by_index(b._coset_of[v.index]).inverse() * v
-
-
 def coset_extremum(
     w: Element, x: Element, b: SingularBlock, direction: str
 ) -> Element:
@@ -165,64 +179,69 @@ def coset_extremum(
     """
     if not b.contains_min_rep(x):
         raise DomainError(f"{x!r} is not a minimal coset representative")
+    g = b.group
     if direction == "max_below":
         if not leq(x, w):
             raise DomainError(f"max_below requires x <= w; got x={x!r}, w={w!r}")
-        members = [z for z in b.coset(x) if leq(z, w)]
-        extrema = [z for z in members if not any(leq(z, t) and z != t for t in members)]
+        cone, beyond = down_masks(g)[w.index], up_masks(g)
     elif direction == "min_above":
         if not leq(w, x):
             raise DomainError(f"min_above requires w <= x; got w={w!r}, x={x!r}")
-        members = [z for z in b.coset(x) if leq(w, z)]
-        extrema = [z for z in members if not any(leq(t, z) and z != t for t in members)]
+        cone, beyond = up_masks(g)[w.index], down_masks(g)
     else:
         raise InputError(f"unknown direction {direction!r}")
-    if not members:
-        raise DomainError("empty intersection")
+    members = [z for z in b._coset_indices(x.index) if cone >> z & 1]
+    mask = _mask(members)
+    extrema = [z for z in members if beyond[z] & mask == 1 << z]
     if len(extrema) != 1:
         raise AssertionError(
             f"intersection has {len(extrema)} extremal elements, expected 1"
         )
-    return extrema[0]
+    return g.element_by_index(extrema[0])
 
 
-def _intersection_pairs(
-    members: list[Element], b: SingularBlock
-) -> list[tuple[Element, Element]]:
-    """Perfect matching of [w,w0] ∩ xW_lambda into Bruhat-cover pairs.
+def _intersection_pairs(xi: int, up_w: int, b: SingularBlock) -> list[tuple[int, int]]:
+    """Perfect matching of [w,w0] ∩ xW_lambda into Bruhat-cover pairs, as
+    index pairs (lo, hi) sorted by lo; xi is any element of the coset and
+    up_w the up mask of w.
 
     The intersection is carried to an interval [y, w0^lambda] in W_lambda via
     the Kostant component of its unique minimum; there it is matched by left
     multiplication with the smallest singular generator ascending from y.
+    A singleton intersection has y = w0^lambda, where none ascends.
     """
     g = b.group
-    minima = [z for z in members if not any(leq(t, z) and z != t for t in members)]
+    lengths = g._lengths
+    # W_lambda component t -> element m t of the intersection
+    by_component = {t: z for t, z in zip(b._wlambda_indices, b._coset_indices(xi))
+                    if up_w >> z & 1}
+    mask = _mask(by_component.values())
+    down = down_masks(g)
+    minima = [t for t, z in by_component.items() if down[z] & mask == 1 << z]
     if len(minima) != 1:
         raise AssertionError("intersection has no unique minimum")
-    y = _component(minima[0], b)
+    y = minima[0]
 
-    choices = [s for s in sorted(b.S) if (g.generator(s) * y).length > y.length]
+    choices = [s for s in sorted(b.S) if g._lmul[s - 1][y] > y]
     if not choices:
-        raise DomainError("intersection is a singleton; nothing to pair")
-    s = g.generator(choices[0])
+        raise DomainError("intersection is a singleton")
+    lmul_s = g._lmul[choices[0] - 1]
 
-    by_component = {_component(z, b): z for z in members}
     pairs = []
     done = set()
-    for t, z in sorted(by_component.items()):
+    for t, z in by_component.items():  # t ascending
         if t in done:
             continue
-        st = s * t
+        st = lmul_s[t]
         partner = by_component.get(st)
         if partner is None:
             raise AssertionError("matching partner left the intersection")
-        done.add(t)
         done.add(st)
-        lo, hi = (z, partner) if z.length < partner.length else (partner, z)
-        if hi.length != lo.length + 1:
+        lo, hi = (z, partner) if lengths[z] < lengths[partner] else (partner, z)
+        if lengths[hi] != lengths[lo] + 1:
             raise AssertionError("matched pair is not a cover pair")
         pairs.append((lo, hi))
-    pairs.sort(key=lambda p: (p[0].length, p[0].reduced_word()))
+    pairs.sort()
     return pairs
 
 
@@ -234,10 +253,9 @@ def partition_pairs(
         raise DomainError(f"{x!r} is not a minimal coset representative")
     if not leq(w, x):
         raise DomainError(f"partition_pairs requires w <= x; got w={w!r}, x={x!r}")
-    members = [z for z in b.coset(x) if leq(w, z)]
-    if len(members) <= 1:
-        raise DomainError("intersection is a singleton")
-    return _intersection_pairs(members, b)
+    up_w = up_masks(b.group)[w.index]
+    el = b.group.element_by_index
+    return [(el(lo), el(hi)) for lo, hi in _intersection_pairs(x.index, up_w, b)]
 
 
 def singularity_from_weight(cartan: CartanType, coords) -> frozenset[int]:

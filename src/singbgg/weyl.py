@@ -350,7 +350,3 @@ def build_group(cartan: CartanType, budget: int | None = None) -> WeylGroup:
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = WeylGroup(cartan, budget=key[2])
     return _GROUP_CACHE[key]
-
-
-def longest_element(g: WeylGroup) -> Element:
-    return g.longest_element()

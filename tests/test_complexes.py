@@ -1,5 +1,7 @@
 """Complex skeletons, translation, cut-off, signs and the exactness test."""
 
+from dataclasses import replace
+
 import pytest
 
 import properties
@@ -7,6 +9,7 @@ from helpers import all_singularities, get_group, get_table
 from singbgg import (
     IntPolynomial,
     assign_signs,
+    coset_extremum,
     cut_equalities,
     dominant_support,
     is_kostant,
@@ -16,6 +19,7 @@ from singbgg import (
     make_block,
     mobius_oracle,
     nonkostant_block,
+    partition_pairs,
     regular_skeleton,
     s_category_has_bgg,
     singular_skeleton,
@@ -144,6 +148,81 @@ def test_equality_edges_avoid_support():
         g = get_group(fam, rank)
         for S in all_singularities(rank):
             properties.check_equality_edges_avoid_support(g, S)
+
+
+def _assert_word_sorted(sk):
+    assert sk.vertices == sorted(sk.vertices, key=lambda p: (p[1], p[0].reduced_word()))
+    assert sk.edges == sorted(sk.edges, key=lambda e: (
+        e.target.length, e.target.reduced_word(), e.source.reduced_word()))
+
+
+def test_stage_order_matches_word_sorts():
+    """Every stage lists vertices by (degree, word) and edges by (target
+    length, target word, source word), the order the sorts keyed by
+    reduced words used to impose."""
+    cases = [(g, g.elements(), all_singularities(3))
+             for g in (get_group("A", 3), get_group("B", 3))]
+    f4 = get_group("F", 4)
+    cases.append((f4, [f4.from_word(w) for w in ([2, 3, 2, 3], [1, 2, 3, 2, 1],
+                                                  [4, 3, 2, 3, 4, 1, 2])],
+                  [{2, 3}, {1}, {3, 4}]))
+    for g, ws, singularities in cases:
+        for w in ws:
+            reg = regular_skeleton(g, w)
+            stages = [reg, assign_signs(reg)]
+            for S in singularities:
+                b = make_block(g, S)
+                tr = translate_skeleton(reg, b)
+                stages += [tr, cut_equalities(tr)]
+                if b.contains_max_rep(w):
+                    stages.append(singular_skeleton(w, b))
+            for sk in stages:
+                _assert_word_sorted(sk)
+
+
+def test_cut_and_sign_gates_fire():
+    """The self-checks fire on skeletons the pipeline never builds."""
+    ga = get_group("A", 3)
+    ba = make_block(ga, {2})
+    tr = translate_skeleton(regular_skeleton(ga, ga.identity), ba)
+    # without s2 the identity is alone in its coset but not its longest element
+    lone = replace(tr, vertices=[p for p in tr.vertices if p[0] != ga.generator(2)])
+    with pytest.raises(AssertionError, match="lone coset element <e>"):
+        cut_equalities(lone)
+    gb = get_group("B", 3)
+    bb = make_block(gb, {2, 3})
+    tr = translate_skeleton(regular_skeleton(gb, gb.identity), bb)
+    # seven of the eight elements of W_lambda
+    odd = replace(tr, vertices=[p for p in tr.vertices if p[0] != gb.generator(2)])
+    with pytest.raises(AssertionError, match="matching is not perfect"):
+        cut_equalities(odd)
+    sk = regular_skeleton(get_group("A", 2), get_group("A", 2).identity)
+    with pytest.raises(AssertionError, match="has 1 intermediate elements"):
+        assign_signs(replace(sk, edges=sk.edges[1:]))
+
+
+def test_coset_gates_fire(monkeypatch):
+    """The matching and extremum self-checks fire when the coset walk
+    returns something other than a coset."""
+    g = get_group("A", 3)
+    b = make_block(g, {2})
+    e = g.identity
+    monkeypatch.setattr(b, "_coset_indices", lambda xi: [0, 5])  # e, s1 s3
+    with pytest.raises(AssertionError, match="not a cover pair"):
+        partition_pairs(e, e, b)
+    monkeypatch.setattr(b, "_coset_indices", lambda xi: [1, 3])  # s1, s3
+    with pytest.raises(AssertionError, match="no unique minimum"):
+        partition_pairs(e, e, b)
+    with pytest.raises(AssertionError, match="2 extremal elements"):
+        coset_extremum(e, e, b, "min_above")
+    gb = get_group("B", 3)
+    bb = make_block(gb, {2, 3})
+    s1 = gb.generator(1)
+    walk = bb._coset_indices(s1.index)
+    walk[3] = 0  # the identity is not above s1
+    monkeypatch.setattr(bb, "_coset_indices", lambda xi: walk)
+    with pytest.raises(AssertionError, match="partner left the intersection"):
+        partition_pairs(s1, s1, bb)
 
 
 def test_signs_single_edge():

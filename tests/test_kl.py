@@ -480,6 +480,24 @@ def _runs_swapped(ys, ws, ks):
     return [x[:a] + x[b:c] + x[a:b] + x[c:] for x in (ys, ws, ks)]
 
 
+def _y_repeated(ys, ws, ks):
+    """The second y of a middle column set equal to the first: the column
+    would decode one entry fewer than the file counts."""
+    i = len(ws) // 2
+    while ws[i + 1] != ws[i]:
+        i += 1
+    return ys[:i + 1] + [ys[i]] + ys[i + 2:], ws, ks
+
+
+def _y_descending(ys, ws, ks):
+    """Two neighbouring ys of a middle column swapped: each entry stays
+    valid, but the column's ys decrease once."""
+    i = len(ws) // 2
+    while ws[i + 1] != ws[i]:
+        i += 1
+    return ys[:i] + [ys[i + 1], ys[i]] + ys[i + 2:], ws, ks
+
+
 def test_inconsistent_payload_rejected(tmp_path):
     g = get_group("B", 3)
     path = tmp_path / "b3.klv"
@@ -496,7 +514,9 @@ def test_inconsistent_payload_rejected(tmp_path):
              (data[:-1], "entry arrays"), (bad_y, "out of order or range"),
              (bad_w, "out of order or range"), (last_w_n, "out of order or range"),
              (_with_entries(data, _descent), "out of order or range"),
-             (_with_entries(data, _runs_swapped), "out of order or range")]
+             (_with_entries(data, _runs_swapped), "out of order or range"),
+             (_with_entries(data, _y_repeated), "out of order or range"),
+             (_with_entries(data, _y_descending), "out of order or range")]
     # pools the writer never makes: the first three would pack equal to
     # another polynomial or to 1, the last would not fit a sum's digits
     for edit, msg in [

@@ -123,6 +123,28 @@ def test_partition_pairs_properties():
             properties.check_matching(g, S)
 
 
+def test_pairs_and_coset_order_match_word_sorts():
+    """partition_pairs lists pairs by the (length, word) of their lower
+    element and coset lists its members by (length, word).  A4 with S =
+    {1, 2, 4} has pairs that come out of the matching in another order."""
+    def key(x):
+        return (x.length, x.reduced_word())
+
+    cases = [(get_group(fam, 3), all_singularities(3)) for fam in ("A", "B")]
+    cases.append((get_group("A", 4), [{1, 2, 4}]))
+    for g, singularities in cases:
+        for S in singularities:
+            b = make_block(g, S)
+            for x in g.elements():
+                coset = b.coset(x)
+                assert coset == sorted(coset, key=key)
+            for w in g.elements():
+                for x in b.min_reps:
+                    if leq(w, x) and sum(leq(w, z) for z in b.coset(x)) > 1:
+                        pairs = partition_pairs(w, x, b)
+                        assert pairs == sorted(pairs, key=lambda p: key(p[0]))
+
+
 def test_singularity_from_weight():
     a3 = CartanType("A", 3)
     b3 = CartanType("B", 3)
