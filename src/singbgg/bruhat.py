@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import DomainError, InputError
-from .weyl import Element, WeylGroup, _compose, _invert, _num_inversions
+from .errors import DomainError
+from .weyl import Element, WeylGroup, _compose, _invert, _num_inversions, check_same_group
 
 
 @dataclass
@@ -73,15 +73,10 @@ def _closure(covers: list[list[int]], order) -> list[int]:
     return masks
 
 
-def _check_same_group(u: Element, v: Element) -> WeylGroup:
-    if u.group is not v.group:
-        raise InputError("elements belong to different groups")
-    return u.group
-
-
 def leq(u: Element, v: Element) -> bool:
     """True iff u <= v in Bruhat order."""
-    g = _check_same_group(u, v)
+    g = u.group
+    check_same_group(g, v)
     if g.enumerated:
         return bool(down_masks(g)[v.index] >> u.index & 1)
     return _leq_recursive(g, u.perm, v.perm)
@@ -123,8 +118,8 @@ def lower_covers(w: Element) -> list[Element]:
 
 def interval(u: Element, v: Element) -> list[Element]:
     """All z with u <= z <= v, sorted by (length, ShortLex word)."""
-    g = _check_same_group(u, v)
-    if not leq(u, v):
+    g = u.group
+    if not leq(u, v):  # raises InputError when u and v are of different groups
         raise DomainError(f"empty interval: {u!r} is not below {v!r}")
     mask = up_masks(g)[u.index] & down_masks(g)[v.index]
     return [g.element_by_index(i) for i in iter_indices(mask)]

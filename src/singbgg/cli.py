@@ -41,27 +41,25 @@ def _word_str(w: Element) -> str:
     return "".join(str(i) for i in w.reduced_word()) or "e"
 
 
-def _parse_word(g: WeylGroup, text: str) -> Element:
+def _parse_ints(text: str, empty: tuple[str, ...], what: str) -> list[int]:
+    """The integers of text, separated by commas or whitespace, or one per
+    character when there is no separator; [] for any of the empty spellings."""
     text = text.strip()
-    if text in ("", "e", "-"):
-        return g.identity
+    if text in empty:
+        return []
     parts = re.split(r"[,\s]+", text) if re.search(r"[,\s]", text) else list(text)
     try:
-        word = [int(p) for p in parts if p]
+        return [int(p) for p in parts if p]
     except ValueError:
-        raise SingBggError(f"cannot parse word {text!r}") from None
-    return g.from_word(word)
+        raise SingBggError(f"cannot parse {what} {text!r}") from None
+
+
+def _parse_word(g: WeylGroup, text: str) -> Element:
+    return g.from_word(_parse_ints(text, ("", "e", "-"), "word"))
 
 
 def _parse_singular(text: str) -> frozenset[int]:
-    text = text.strip()
-    if text in ("", "none"):
-        return frozenset()
-    parts = re.split(r"[,\s]+", text) if re.search(r"[,\s]", text) else list(text)
-    try:
-        return frozenset(int(p) for p in parts if p)
-    except ValueError:
-        raise SingBggError(f"cannot parse singularity set {text!r}") from None
+    return frozenset(_parse_ints(text, ("", "none"), "singularity set"))
 
 
 def _group(args) -> WeylGroup:

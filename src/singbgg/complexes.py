@@ -28,7 +28,7 @@ from .parabolic import (
     complementary_singularity,
     make_block,
 )
-from .weyl import Element, WeylGroup
+from .weyl import Element, WeylGroup, check_same_group
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ class ComplexSkeleton:
 
 def regular_skeleton(g: WeylGroup, w: Element) -> ComplexSkeleton:
     """Full interval [w, w0] with cover arrows, graded by l(x) - l(w)."""
+    check_same_group(g, w)
     b = make_block(g, frozenset())
     lw = w.length
     upper = cover_graph(g).upper
@@ -66,6 +67,7 @@ def regular_skeleton(g: WeylGroup, w: Element) -> ComplexSkeleton:
 
 def translate_skeleton(sk: ComplexSkeleton, b: SingularBlock) -> ComplexSkeleton:
     """Mark same-coset arrows as equality edges; vertices unchanged."""
+    check_same_group(b.group, sk.block)
     if sk.kind != "regular":
         raise DomainError(f"translation applies to regular skeletons, got {sk.kind}")
     coset_of = b._coset_of
@@ -121,6 +123,7 @@ def _stratum_edges(verts: list[tuple[Element, int]], g: WeylGroup) -> list[Skele
 
 def singular_skeleton(w: Element, b: SingularBlock) -> ComplexSkeleton:
     """Direct construction from the graded support, bypassing translation."""
+    check_same_group(b.group, w)
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
     gs = support_X(w, b)
@@ -198,6 +201,7 @@ def assign_signs(sk: ComplexSkeleton) -> ComplexSkeleton:
 def is_kostant(w: Element, b: SingularBlock, t: KLTable) -> bool:
     """Exactness test: for every representative x above w, the dominant-side
     singular polynomial must be the constant |Möbius value|."""
+    check_same_group(b.group, w, t)
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
     return _is_kostant_index(w.index, b, t)
@@ -216,6 +220,7 @@ def _is_kostant_index(wi: int, b: SingularBlock, t: KLTable) -> bool:
 def nonkostant_block(g: WeylGroup, S, t: KLTable) -> list[Element]:
     """All longest representatives whose singular complex is not exact,
     sorted by (length, ShortLex word)."""
+    check_same_group(g, t)
     b = make_block(g, S)
     return [
         g.element_by_index(wi)
@@ -239,6 +244,7 @@ def s_category_has_bgg(w: Element, b: SingularBlock, t: KLTable) -> bool:
     """Whether the quotient-category image of the simple module of w admits a
     BGG resolution: equivalent to exactness for the inverse element's
     singular parameter."""
+    check_same_group(b.group, w, t)
     wi = b.group._inv[w.index]
     if not b._maxrep_mask >> wi & 1:
         raise DomainError(

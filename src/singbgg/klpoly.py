@@ -17,10 +17,10 @@ values are interned, so equal polynomials share one int and the table keeps
 a pool of the distinct ones with their coefficient tuples.  Tuples and
 IntPolynomial are built only when a polynomial leaves the module.
 
-A table loaded from the binary cache validates the whole file at load time
-but keeps the entries as the file's index arrays; a column's dict is built
-the first time something reads that column, so a query that reads a few
-columns decodes only those.
+The binary cache stores each column's support as a bitmask over element
+indices.  A loaded table validates the whole file at load time, each mask
+against the Bruhat order, but keeps the masks and pool indices as they are;
+a column's dict is built the first time something reads that column.
 
 The singular variants are alternating sums of ordinary entries over a
 parabolic subgroup.  The dominant-side variant, the one the exactness test
@@ -38,13 +38,12 @@ import sys
 import tempfile
 import zlib
 from array import array
-from bisect import bisect_left
-from operator import lt
+from itertools import accumulate
 
 from .bruhat import down_masks, iter_indices, leq
 from .errors import DomainError, InputError
 from .parabolic import SingularBlock, _mask
-from .weyl import Element, WeylGroup
+from .weyl import Element, WeylGroup, check_same_group
 
 Coeffs = tuple[int, ...]
 
@@ -229,6 +228,7 @@ class KLTable:
 
     def polynomial(self, y: Element, w: Element) -> IntPolynomial:
         """P_{y,w}; 0 when y is not below w in Bruhat order."""
+        check_same_group(self.group, y, w)
         return IntPolynomial(self.polynomial_by_index(y.index, w.index))
 
     def _columns(self):
@@ -241,22 +241,23 @@ class KLTable:
 
 class _Columns(dict):
     """Columns of a loaded table, w -> {y: packed P_{y,w}}, each decoded
-    from the cache's index arrays the first time it is read.
+    from the cache the first time it is read.
 
-    ys and ks are the file's y and pool-index arrays, entries
-    bounds[w]:bounds[w + 1] form column w, and values[k] is the packed pool
-    polynomial k.  Once decoded, a column is read by a plain dict lookup.
+    masks[w] has bit y set iff column w stores P_{y,w}, ks is the file's
+    pool-index array, entries bounds[w]:bounds[w + 1] of it belong to column
+    w in increasing y, and values[k] is the packed pool polynomial k.  Once
+    decoded, a column is read by a plain dict lookup.
     """
 
-    __slots__ = ("_ys", "_ks", "_bounds", "_values")
+    __slots__ = ("_masks", "_ks", "_bounds", "_values")
 
-    def __init__(self, ys: array, ks: array, bounds: list[int], values: list[int]):
+    def __init__(self, masks: list[int], ks: array, bounds: list[int], values: list[int]):
         super().__init__()
-        self._ys, self._ks, self._bounds, self._values = ys, ks, bounds, values
+        self._masks, self._ks, self._bounds, self._values = masks, ks, bounds, values
 
     def __missing__(self, wi: int) -> dict[int, int]:
-        a, b = self._bounds[wi], self._bounds[wi + 1]
-        col = self[wi] = dict(zip(self._ys[a:b], map(self._values.__getitem__, self._ks[a:b])))
+        ks = self._ks[self._bounds[wi]:self._bounds[wi + 1]]
+        col = self[wi] = dict(zip(iter_indices(self._masks[wi]), map(self._values.__getitem__, ks)))
         return col
 
 
@@ -266,6 +267,7 @@ def kl_table(g: WeylGroup) -> KLTable:
 
 def mu_coefficient(t: KLTable, y: Element, w: Element) -> int:
     """Coefficient of q^((l(w)-l(y)-1)/2) in P_{y,w}; 0 on even gaps."""
+    check_same_group(t.group, y, w)
     d = w.length - y.length
     if d <= 0 or d % 2 == 0:
         return 0
@@ -281,6 +283,7 @@ def klv_polynomial(
 
     Both arguments must be minimal coset representatives for b_mu.
     """
+    check_same_group(t.group, b_mu, y, z)
     for e in (y, z):
         if not b_mu.contains_min_rep(e):
             raise DomainError(f"{e!r} is not a minimal coset representative")
@@ -296,6 +299,7 @@ def klv_dominant(
     """The exactness-test polynomial for the pair (w, x) of longest
     representatives: the singular polynomial at arguments (x w0, w w0) for
     the singularity set conjugated by w0."""
+    check_same_group(t.group, b, w, x)
     for e in (w, x):
         if not b.contains_max_rep(e):
             raise DomainError(f"{e!r} is not a longest coset representative")
@@ -322,22 +326,23 @@ def _dominant_sum(t: KLTable, terms, zi: int) -> int:
 # -- binary cache ---------------------------------------------------------------
 #
 # Layout (little-endian):
-#   "KLV2", family (1 ASCII byte), rank (u8), order n (u32),
+#   "KLV3", family (1 ASCII byte), rank (u8), order n (u32),
 #   SHA-256 of the order rows down_masks(g)[i] as (n + 7) // 8 bytes each,
 #   CRC32 of the payload (u32), then the payload:
 #   n_polys (u32), n_entries (u32),
 #   the pool: each distinct stored polynomial once, as degree (u8) and
 #   degree + 1 int32 coefficients,
-#   three u32 arrays of n_entries each, y, w and the pool index, sorted by (w, y).
+#   n column masks of (n + 7) // 8 bytes each, bit y of mask w set iff
+#   column w stores P_{y,w},
+#   n_entries u32 pool indices, sorted by (w, y).
 #
-# load_table checks all of it before it returns, then keeps the y and pool
-# index arrays as they are and decodes a column on its first read.
+# load_table checks all of it before it returns, then keeps the masks and the
+# pool-index array as they are and decodes a column on its first read.
 
-_MAGIC = b"KLV2"
-_OLD_MAGICS = (b"KLV1",)
+_MAGIC = b"KLV3"
+_OLD_MAGICS = (b"KLV1", b"KLV2")
 _HEADER = struct.Struct("<4scBI32sI")
 _U32 = "I"
-_U32LE = struct.Struct("<I")
 
 
 def _order_digest(g: WeylGroup) -> bytes:
@@ -347,13 +352,6 @@ def _order_digest(g: WeylGroup) -> bytes:
     for m in down_masks(g):
         h.update(m.to_bytes(nbytes, "little"))
     return h.digest()
-
-
-def _u32_bytes(values) -> bytes:
-    a = array(_U32, values)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a.tobytes()
 
 
 def _u32_array(data: bytes, off: int, count: int) -> array:
@@ -375,19 +373,18 @@ def save_table(t: KLTable, path) -> None:
     less the umask), not mkstemp's 0o600.
     """
     g = t.group
+    nbytes = (g.order + 7) // 8
     pool: dict[int, int] = {}
-    ys, ws, ks = [], [], []
-    for wi, col in enumerate(t._columns()):
-        for yi in sorted(col):
-            ys.append(yi)
-            ws.append(wi)
-            ks.append(pool.setdefault(col[yi], len(pool)))
-    payload = bytearray(struct.pack("<II", len(pool), len(ys)))
+    masks, ks = bytearray(), []
+    for col in t._columns():
+        ys = sorted(col)
+        masks += _mask(ys).to_bytes(nbytes, "little")
+        ks.extend(pool.setdefault(col[yi], len(pool)) for yi in ys)
+    payload = bytearray(struct.pack("<II", len(pool), len(ks)))
     for v in pool:
         p = t._pool[v]
         payload += struct.pack(f"<B{len(p)}i", len(p) - 1, *p)
-    for values in (ys, ws, ks):
-        payload += _u32_bytes(values)
+    payload += masks + struct.pack(f"<{len(ks)}I", *ks)
     header = _HEADER.pack(_MAGIC, g.cartan.family.encode("ascii"), g.rank,
                           g.order, _order_digest(g), zlib.crc32(payload))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
@@ -455,26 +452,22 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
         (deg,) = struct.unpack_from("<B", data, off)
         pool.append(struct.unpack_from(f"<{deg + 1}i", data, off + 1))
         off += 5 + 4 * deg
-    if len(data) - off != 12 * n_entries:
-        raise InputError(f"{path}: truncated or corrupt cache file (entry arrays)")
-    ys, ws, ks = (_u32_array(data, off + 4 * n_entries * j, n_entries)
-                  for j in range(3))
+    nbytes = (n + 7) // 8
+    koff = off + n * nbytes
+    if len(data) - koff != 4 * n_entries:
+        raise InputError(f"{path}: truncated or corrupt cache file (payload length)")
+    masks = [int.from_bytes(data[i:i + nbytes], "little")
+             for i in range(off, koff, nbytes)]
+    # a stored y lies strictly below w; this also rules out bits at n and above
+    if any(m & ~d or m >> wi & 1
+           for wi, (m, d) in enumerate(zip(masks, down_masks(g)))):
+        raise InputError(f"{path}: corrupt cache file (stored y not below its w)")
+    bounds = [0, *accumulate(map(int.bit_count, masks))]
+    if bounds[-1] != n_entries:
+        raise InputError(f"{path}: corrupt cache file (masks do not match the entry count)")
+    ks = _u32_array(data, koff, n_entries)
     if n_entries and max(ks) >= n_polys:
         raise InputError(f"{path}: corrupt cache file (pool index out of range)")
-    # bounds[w] is where column w starts if ws is sorted; ws is sorted with
-    # every value below n exactly when it equals the runs the bounds imply
-    bounds = [0]
-    for wi in range(1, n + 1):
-        bounds.append(bisect_left(ws, wi, bounds[-1]))
-    runs = b"".join(map(bytes.__mul__, map(_U32LE.pack, range(n)),
-                        map(int.__sub__, bounds[1:], bounds)))
-    woff = off + 4 * n_entries
-    # the ys of a column strictly increase, so its last y is its largest
-    if runs != data[woff:woff + 4 * n_entries] or any(
-        col and (col[-1] >= n or not all(map(lt, col, col[1:])))
-        for col in map(ys.__getitem__, map(slice, bounds, bounds[1:]))
-    ):
-        raise InputError(f"{path}: corrupt cache file (entry index out of order or range)")
     # the writer stores KL polynomials other than 0 and 1, each once: constant
     # term 1, degree at least 1, no trailing zero
     if any(len(p) < 2 or p[0] != 1 or p[-1] == 0 for p in pool):
@@ -482,7 +475,7 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
     values = [_pack(p) for p in pool]
     if len(set(values)) != n_polys:
         raise InputError(f"{path}: corrupt cache file (pool polynomial repeated)")
-    cols = _Columns(ys, ks, bounds, values)
+    cols = _Columns(masks, ks, bounds, values)
     cmax = max((abs(c) for p in pool for c in p), default=1)
     try:
         return KLTable(g, _entries=(cols, n_entries, dict(zip(values, pool)), cmax))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .bruhat import down_masks, iter_indices, leq, up_masks
 from .errors import DomainError
 from .parabolic import SingularBlock
-from .weyl import Element
+from .weyl import Element, check_same_group
 
 
 def mobius_oracle(elements, order, a, b) -> int:
@@ -45,6 +45,7 @@ def mobius_lambda(w: Element, x: Element, b: SingularBlock) -> int:
     is not a longest coset representative, otherwise (-1)^(l(x)-l(w)).
     Incomparable pairs give 0.
     """
+    check_same_group(b.group, w, x)
     for u in (w, x):
         if not b.contains_max_rep(u):
             raise DomainError(f"{u!r} is not a longest coset representative")
@@ -96,6 +97,7 @@ class GradedSupport:
 def support_X(w: Element, b: SingularBlock) -> GradedSupport:
     """X_w = representatives x >= w with nonvanishing block Möbius value,
     graded by i = l(x) - l(w)."""
+    check_same_group(b.group, w)
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
     g = b.group

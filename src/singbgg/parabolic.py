@@ -21,7 +21,7 @@ from fractions import Fraction
 from .bruhat import down_masks, leq, up_masks
 from .cartan import CartanType
 from .errors import DomainError, InputError
-from .weyl import Element, WeylGroup
+from .weyl import Element, WeylGroup, check_same_group
 
 
 def _mask(indices) -> int:
@@ -56,7 +56,6 @@ class SingularBlock:
             cosets.setdefault(m, []).append(i)
 
         self._wlambda_indices = cosets[0]
-        self._wlambda_mask = _mask(cosets[0])
         self._w0_lambda_idx = cosets[0][-1]
         self._minrep_indices = sorted(cosets)
         self._minrep_mask = _mask(self._minrep_indices)
@@ -125,6 +124,7 @@ class SingularBlock:
 
     def coset(self, x: Element) -> list[Element]:
         """The coset x W_lambda, as elements."""
+        check_same_group(self.group, x)
         return [self.group.element_by_index(i)
                 for i in sorted(self._coset_indices(x.index))]
 
@@ -158,6 +158,7 @@ def make_block(g: WeylGroup, S) -> SingularBlock:
 
 def kostant_decompose(v: Element, b: SingularBlock) -> tuple[Element, Element]:
     """Unique factorization v = v^lambda * v_lambda with additive lengths."""
+    check_same_group(b.group, v)
     g = b.group
     u = v
     tail = g.identity
@@ -177,6 +178,7 @@ def coset_extremum(
 
     Uniqueness is asserted against the enumerated intersection, never assumed.
     """
+    check_same_group(b.group, w, x)
     if not b.contains_min_rep(x):
         raise DomainError(f"{x!r} is not a minimal coset representative")
     g = b.group
@@ -249,6 +251,7 @@ def partition_pairs(
     w: Element, x: Element, b: SingularBlock
 ) -> list[tuple[Element, Element]]:
     """Matching of [w,w0] ∩ xW_lambda into cover pairs (z, z') with z -> z'."""
+    check_same_group(b.group, w, x)
     if not b.contains_min_rep(x):
         raise DomainError(f"{x!r} is not a minimal coset representative")
     if not leq(w, x):

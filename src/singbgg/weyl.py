@@ -81,6 +81,13 @@ def check_budget(cartan: CartanType, budget: int | None = None) -> None:
     )
 
 
+def check_same_group(g: "WeylGroup", *objs) -> None:
+    """Raise InputError unless every object (element, block, table) is of g."""
+    for o in objs:
+        if o.group is not g:
+            raise InputError("arguments belong to different groups")
+
+
 class WeylGroup:
     """Immutable presentation of a finite Weyl group.
 

@@ -1,6 +1,8 @@
 """Command-line interface: formats, round trips and exit codes."""
 
+import gzip
 import json
+import pathlib
 import re
 import struct
 
@@ -9,6 +11,8 @@ import pytest
 from singbgg import CartanType, weyl
 from singbgg.cli import main
 from singbgg.errors import BudgetError
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -194,7 +198,7 @@ def test_cache_read_after_earlier_call(tmp_path, capsys):
     code, out1, _ = run(capsys, "nonkostant", "-t", "A", "-r", "3", "-s", "2",
                         "--cache", str(good))
     assert (code, out1) == (0, "(2)\n")
-    for bad in (good.read_bytes()[:-1], b"KLV2garbage"):
+    for bad in (good.read_bytes()[:-1], b"KLV3garbage"):
         cache.write_bytes(bad)
         code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
                              "-s", "2", "--cache", str(cache))
@@ -210,6 +214,21 @@ def test_old_format_cache_exit_2(tmp_path, capsys):
                          "-s", "2", "--cache", str(cache))
     assert (code, out) == (2, "")
     assert "older format" in err and "Traceback" not in err
+
+
+def test_klv2_cache_exit_2_then_rebuilt(tmp_path, capsys):
+    # b4_klv2.klv.gz is a B4 cache in the older KLV2 format
+    cache = tmp_path / "b4.klv"
+    cache.write_bytes(gzip.decompress((DATA / "b4_klv2.klv.gz").read_bytes()))
+    argv = ("klpoly", "-t", "B", "-r", "4", "--y", "1", "--w", "121324321432434",
+            "--cache", str(cache))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "older format (KLV2)" in err and "Traceback" not in err
+    cache.unlink()
+    assert run(capsys, *argv) == (0, "1+q+q^2\n", "")
+    assert cache.read_bytes()[:4] == b"KLV3"
+    assert run(capsys, *argv) == (0, "1+q+q^2\n", "")
 
 
 def test_threads_option_removed(capsys):

@@ -15,9 +15,12 @@ from singbgg import (
     is_kostant,
     klv_dominant,
     klv_polynomial,
+    kostant_decompose,
     leq,
     make_block,
+    mobius_lambda,
     mobius_oracle,
+    mu_coefficient,
     nonkostant_block,
     partition_pairs,
     regular_skeleton,
@@ -26,7 +29,7 @@ from singbgg import (
     support_X,
     translate_skeleton,
 )
-from singbgg.errors import DomainError
+from singbgg.errors import DomainError, InputError
 
 # Upper interval of s1s2 in A3: vertex words and its 22 cover arrows
 # (arrows run from the longer to the shorter element).
@@ -363,3 +366,44 @@ def test_klv_dominant_matches_conjugated_block():
     assert len(pairs) > len(b.max_reps)
     for w, x in pairs:
         assert klv_dominant(t, b, w, x) == klv_polynomial(t, b_dom, x * w0, w * w0)
+
+
+class _Mixed:
+    """B3 and B4 arguments for S = {2}: in each group s2 and s1 s2 are
+    longest representatives and e and s1 minimal ones, with the same element
+    indices in both groups, so a call that mixes them reads valid-looking
+    indices of the wrong group."""
+
+    def __init__(self):
+        self.g3, self.g4 = get_group("B", 3), get_group("B", 4)
+        self.t3, self.t4 = get_table("B", 3), get_table("B", 4)
+        self.b3, self.b4 = make_block(self.g3, {2}), make_block(self.g4, {2})
+        self.w3, self.w4 = self.g3.from_word([2]), self.g4.from_word([2])
+        self.x4 = self.g4.from_word([1, 2])
+        self.e4, self.m4 = self.g4.identity, self.g4.from_word([1])
+
+
+MIXED_CALLS = {
+    "nonkostant_block": lambda a: nonkostant_block(a.g4, {2}, a.t3),
+    "is_kostant": lambda a: is_kostant(a.w3, a.b4, a.t4),
+    "s_category_has_bgg": lambda a: s_category_has_bgg(a.w3, a.b4, a.t4),
+    "klv_dominant": lambda a: klv_dominant(a.t3, a.b4, a.w4, a.x4),
+    "klv_polynomial": lambda a: klv_polynomial(a.t3, a.b4, a.e4, a.m4),
+    "mu_coefficient": lambda a: mu_coefficient(a.t3, a.e4, a.x4),
+    "KLTable.polynomial": lambda a: a.t3.polynomial(a.e4, a.x4),
+    "mobius_lambda": lambda a: mobius_lambda(a.w4, a.x4, a.b3),
+    "support_X": lambda a: support_X(a.w3, a.b4),
+    "singular_skeleton": lambda a: singular_skeleton(a.w3, a.b4),
+    "regular_skeleton": lambda a: regular_skeleton(a.g4, a.w3),
+    "translate_skeleton": lambda a: translate_skeleton(regular_skeleton(a.g3, a.w3), a.b4),
+    "coset_extremum": lambda a: coset_extremum(a.x4, a.m4, a.b3, "max_below"),
+    "partition_pairs": lambda a: partition_pairs(a.e4, a.m4, a.b3),
+    "kostant_decompose": lambda a: kostant_decompose(a.w3, a.b4),
+    "SingularBlock.coset": lambda a: a.b4.coset(a.w3),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_CALLS))
+def test_arguments_from_different_groups_rejected(name):
+    with pytest.raises(InputError, match="belong to different groups"):
+        MIXED_CALLS[name](_Mixed())

@@ -38,6 +38,8 @@ ONE = IntPolynomial((1,))
 
 DATA = pathlib.Path(__file__).parent / "data"
 
+_PAYLOAD = klpoly._HEADER.size  # the payload's offset; its CRC32 ends here
+
 
 def test_rank_le_2_trivial():
     for fam, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
@@ -301,11 +303,15 @@ def test_loaded_table_decodes_columns_on_first_read(tmp_path):
     assert len(t._cols) == 576
 
 
-@pytest.mark.parametrize("fam,rank", [("B", 4), ("F", 4)])
+@pytest.mark.parametrize("fam,rank", [("B", 4), ("F", 4), ("D", 4)])
 def test_loaded_table_saves_identical_bytes(tmp_path, fam, rank):
+    t = get_table(fam, rank)
     path, again = tmp_path / "t.klv", tmp_path / "again.klv"
-    save_table(get_table(fam, rank), path)
-    save_table(load_table(get_group(fam, rank), path), again)
+    save_table(t, path)
+    t2 = load_table(get_group(fam, rank), path)
+    assert (decoded_polys(t2), t2._pool, t2._cmax, len(t2)) == (
+        decoded_polys(t), t._pool, t._cmax, len(t))
+    save_table(t2, again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -319,23 +325,24 @@ def test_order_digest_pinned(fam, rank, digest):
 
 
 @pytest.mark.parametrize("fam,rank,digest", [
-    ("B", 4, "b0c9675e33d0854abb1f0f8aff1e34e89aa340fbc0ce0986710498d2e62af95b"),
-    ("F", 4, "d88c35363a23f313052d350e6e8c467202bf05b8c1b5d13a0db3aa8cb9889910"),
+    ("B", 4, "c4b02083414a5655645000b0d7d490600fcc8c7da2108b5dd1653985b6261147"),
+    ("F", 4, "0702ff4c08e5fee6440fa0a80fa3caa511fa64104f504ffa639616cecf596ca6"),
 ])
 def test_saved_cache_bytes_pinned(tmp_path, fam, rank, digest):
-    # the bytes the tuple-based KLV2 writer produced for the same tables
+    # the bytes of the KLV3 writer: a change of layout, pool order or
+    # mask encoding shows here
     path = tmp_path / "t.klv"
     save_table(get_table(fam, rank), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_cache_from_tuple_writer_loads(tmp_path):
-    # b4_klv2.klv.gz is a B4 cache written by the tuple-based KLV2 writer
+def test_cache_from_klv2_writer_rejected(tmp_path):
+    # b4_klv2.klv.gz is a B4 cache written by the KLV2 writer, which stored
+    # y and w arrays; that format is refused, not read as KLV3
     path = tmp_path / "b4.klv"
     path.write_bytes(gzip.decompress((DATA / "b4_klv2.klv.gz").read_bytes()))
-    t = load_table(get_group("B", 4), path)
-    fresh = kl_table(get_group("B", 4))
-    assert (decoded_polys(t), t._pool, t._cmax) == (decoded_polys(fresh), fresh._pool, fresh._cmax)
+    with pytest.raises(InputError, match=r"older format \(KLV2\); delete it"):
+        load_table(get_group("B", 4), path)
 
 
 def test_f4_inverse_symmetry():
@@ -374,10 +381,10 @@ def test_wrong_element_order_rejected(tmp_path):
     # checksum covers only the payload, so it stays valid
     nbytes = (g.order + 7) // 8
     rows = [int(f"{m:0{g.order}b}"[::-1], 2) for m in reversed(down_masks(g))]
-    data[10:42] = hashlib.sha256(
+    data[_PAYLOAD - 36:_PAYLOAD - 4] = hashlib.sha256(
         b"".join(m.to_bytes(nbytes, "little") for m in rows)).digest()
-    crc, = struct.unpack_from("<I", data, 42)
-    assert crc == zlib.crc32(bytes(data[46:]))
+    crc, = struct.unpack_from("<I", data, _PAYLOAD - 4)
+    assert crc == zlib.crc32(bytes(data[_PAYLOAD:]))
     path.write_bytes(bytes(data))
     with pytest.raises(InputError, match="does not match the group"):
         load_table(g, path)
@@ -428,95 +435,88 @@ def test_damaged_cache_loads_equal_or_is_rejected(b3_cache, data):
 def _resealed(data):
     """data with its payload checksum recomputed."""
     data = bytearray(data)
-    data[42:46] = struct.pack("<I", zlib.crc32(bytes(data[46:])))
+    data[_PAYLOAD - 4:_PAYLOAD] = struct.pack("<I", zlib.crc32(bytes(data[_PAYLOAD:])))
     return bytes(data)
 
 
-def _with_pool(data, edit):
-    """data with its pool of coefficient tuples replaced by edit(pool)."""
-    n_polys, n_entries = struct.unpack_from("<II", data, 46)
-    off = 54
+def _split(data):
+    """(pool, offset of the column masks) of a cache file."""
+    n_polys = struct.unpack_from("<I", data, _PAYLOAD)[0]
+    off = _PAYLOAD + 8
     pool = []
     for _ in range(n_polys):
         deg = data[off]
         pool.append(struct.unpack_from(f"<{deg + 1}i", data, off + 1))
         off += 5 + 4 * deg
+    return pool, off
+
+
+def _with_pool(data, edit):
+    """data with its pool of coefficient tuples replaced by edit(pool)."""
+    n_entries = struct.unpack_from("<I", data, _PAYLOAD + 4)[0]
+    pool, off = _split(data)
     pool = edit(pool)
-    out = bytearray(data[:46]) + struct.pack("<II", len(pool), n_entries)
+    out = bytearray(data[:_PAYLOAD]) + struct.pack("<II", len(pool), n_entries)
     for p in pool:
         out += struct.pack(f"<B{len(p)}i", len(p) - 1, *p)
     return bytes(out) + data[off:]
 
 
-def _with_entries(data, edit):
-    """data with its y, w and pool-index arrays replaced by edit(ys, ws, ks)."""
-    n_entries = struct.unpack_from("<I", data, 50)[0]
-    off = len(data) - 12 * n_entries
-    arrays = [list(struct.unpack_from(f"<{n_entries}I", data, off + 4 * n_entries * j))
-              for j in range(3)]
-    return data[:off] + b"".join(struct.pack(f"<{n_entries}I", *a) for a in edit(*arrays))
+def _with_columns(data, edit):
+    """data with its column masks (ints) and pool indices (in (w, y) order)
+    replaced by edit(masks, ks); n_entries becomes the new len(ks)."""
+    n = klpoly._HEADER.unpack_from(data)[3]
+    nbytes = (n + 7) // 8
+    _, off = _split(data)
+    koff = off + n * nbytes
+    masks = [int.from_bytes(data[i:i + nbytes], "little") for i in range(off, koff, nbytes)]
+    ks = list(struct.unpack_from(f"<{(len(data) - koff) // 4}I", data, koff))
+    masks, ks = edit(masks, ks)
+    return (data[:_PAYLOAD + 4] + struct.pack("<I", len(ks)) + data[_PAYLOAD + 8:off]
+            + b"".join(m.to_bytes(nbytes, "little") for m in masks)
+            + struct.pack(f"<{len(ks)}I", *ks))
 
 
-def _descent(ys, ws, ks):
-    """ws lowered by one in the middle of a run, below its predecessor."""
-    i = len(ws) // 2
-    while ws[i - 1] != ws[i]:
-        i += 1
-    return ys, ws[:i] + [ws[i] - 1] + ws[i + 1:], ks
+def _with_entry(wi, yi):
+    """An edit that stores one more entry, (yi, wi), with column wi's ks
+    kept in increasing y order and pool index 0."""
+    def edit(masks, ks):
+        start = sum(m.bit_count() for m in masks[:wi])
+        at = start + (masks[wi] & ((1 << yi) - 1)).bit_count()
+        masks = masks[:wi] + [masks[wi] | 1 << yi] + masks[wi + 1:]
+        return masks, ks[:at] + [0] + ks[at:]
+    return edit
 
 
-def _runs_swapped(ys, ws, ks):
-    """Two neighbouring middle columns' entries swapped as whole runs: each
-    entry stays valid, but the w array is out of order."""
-    a = len(ws) // 2
-    while ws[a - 1] == ws[a]:
-        a -= 1
-    b = a
-    while ws[b] == ws[a]:
-        b += 1
-    c = b
-    while ws[c] == ws[b]:
-        c += 1
-    return [x[:a] + x[b:c] + x[a:b] + x[c:] for x in (ys, ws, ks)]
-
-
-def _y_repeated(ys, ws, ks):
-    """The second y of a middle column set equal to the first: the column
-    would decode one entry fewer than the file counts."""
-    i = len(ws) // 2
-    while ws[i + 1] != ws[i]:
-        i += 1
-    return ys[:i + 1] + [ys[i]] + ys[i + 2:], ws, ks
-
-
-def _y_descending(ys, ws, ks):
-    """Two neighbouring ys of a middle column swapped: each entry stays
-    valid, but the column's ys decrease once."""
-    i = len(ws) // 2
-    while ws[i + 1] != ws[i]:
-        i += 1
-    return ys[:i] + [ys[i + 1], ys[i]] + ys[i + 2:], ws, ks
+def _bit_dropped(masks, ks):
+    """The lowest bit of the first nonempty mask cleared, ks kept: the masks
+    count one entry fewer than the file stores."""
+    wi = next(i for i, m in enumerate(masks) if m)
+    return masks[:wi] + [masks[wi] & masks[wi] - 1] + masks[wi + 1:], ks
 
 
 def test_inconsistent_payload_rejected(tmp_path):
-    g = get_group("B", 3)
-    path = tmp_path / "b3.klv"
+    path = tmp_path / "t.klv"
     save_table(get_table("B", 3), path)
     data = path.read_bytes()
-    n_polys, n_entries = struct.unpack_from("<II", data, 46)
-    bad_index = data[:-4] + struct.pack("<I", n_polys)
-    ys = len(data) - 12 * n_entries  # offsets of the y and w arrays
-    ws = ys + 4 * n_entries
-    bad_y = data[:ys] + struct.pack("<I", g.order) + data[ys + 4:]
-    bad_w = data[:ws] + struct.pack("<I", g.order - 1) + data[ws + 4:]  # unsorted
-    last_w_n = _with_entries(data, lambda y, w, k: (y, w[:-1] + [g.order], k))
-    cases = [(bad_index, "pool index"), (data + b"\0", "entry arrays"),
-             (data[:-1], "entry arrays"), (bad_y, "out of order or range"),
-             (bad_w, "out of order or range"), (last_w_n, "out of order or range"),
-             (_with_entries(data, _descent), "out of order or range"),
-             (_with_entries(data, _runs_swapped), "out of order or range"),
-             (_with_entries(data, _y_repeated), "out of order or range"),
-             (_with_entries(data, _y_descending), "out of order or range")]
+    save_table(get_table("G", 2), path)
+    g2 = path.read_bytes()
+    b3, wn = get_group("B", 3), get_group("B", 3).order - 1
+    n_polys = struct.unpack_from("<I", data, _PAYLOAD)[0]
+    s1, s2 = b3.generator(1).index, b3.generator(2).index
+    cases = [
+        (b3, data[:-4] + struct.pack("<I", n_polys), "pool index"),
+        (b3, data + b"\0", "payload length"),
+        (b3, data[:-1], "payload length"),
+        # w itself stored in column w (the longest element's column)
+        (b3, _with_columns(data, _with_entry(wn, wn)), "stored y not below its w"),
+        # s2 is not below s1
+        (b3, _with_columns(data, _with_entry(s1, s2)), "stored y not below its w"),
+        # G2 has n = 12: bit 12 of a two-byte mask is padding
+        (get_group("G", 2), _with_columns(g2, _with_entry(11, 12)),
+         "stored y not below its w"),
+        (b3, _with_columns(data, _bit_dropped), "masks do not match the entry count"),
+    ]
     # pools the writer never makes: the first three would pack equal to
     # another polynomial or to 1, the last would not fit a sum's digits
     for edit, msg in [
@@ -526,11 +526,13 @@ def test_inconsistent_payload_rejected(tmp_path):
         (lambda p: [p[0], p[0]] + p[2:], "pool polynomial repeated"),
         (lambda p: [p[0][:-1] + (2**30,)] + p[1:], "coefficient out of range"),
     ]:
-        cases.append((_with_pool(data, edit), msg))
-    for bad, msg in cases:
+        cases.append((b3, _with_pool(data, edit), msg))
+    for g, bad, msg in cases:
         path.write_bytes(_resealed(bad))
         with pytest.raises(InputError, match=msg):
             load_table(g, path)
+    # the parser the edits go through writes an unedited file back as it was
+    assert _with_columns(data, lambda m, k: (m, k)) == data
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -541,9 +543,9 @@ def test_resealed_damage_raises_only_input_error(b3_cache, data):
     raw = b3_cache.read_bytes()
     damaged = bytearray(raw)
     if data.draw(st.booleans(), label="truncate"):
-        del damaged[data.draw(st.integers(46, len(raw) - 1), label="length"):]
-    if len(damaged) > 46:
-        offset = st.integers(46, len(damaged) - 1)
+        del damaged[data.draw(st.integers(_PAYLOAD, len(raw) - 1), label="length"):]
+    if len(damaged) > _PAYLOAD:
+        offset = st.integers(_PAYLOAD, len(damaged) - 1)
         for off, byte in data.draw(st.lists(st.tuples(offset, st.integers(0, 255)),
                                             max_size=8), label="writes"):
             damaged[off] = byte
