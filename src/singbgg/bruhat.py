@@ -9,20 +9,19 @@ operations; only `leq` above the element budget recurses on permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import DomainError
 from .weyl import Element, WeylGroup, _compose, _invert, _num_inversions, check_same_group
 
 
-@dataclass
 class CoverGraph:
     """Upper and lower covers per element index."""
 
-    group: WeylGroup
-    upper: list[list[int]]
-    lower: list[list[int]]
+    def __init__(self, group: WeylGroup, upper: list[list[int]], lower: list[list[int]]):
+        self.group = group
+        self.upper = upper
+        self.lower = lower
 
 
 def cover_graph(g: WeylGroup) -> CoverGraph:

@@ -11,7 +11,6 @@ and a root is positive iff its coefficients are non-negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -20,27 +19,44 @@ Root = tuple[int, ...]
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 
 
-@dataclass(frozen=True)
 class CartanType:
-    """A simple Cartan type: family letter plus rank."""
+    """A simple Cartan type: family letter plus rank; immutable and hashable."""
 
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        fam, n = self.family, self.rank
-        if fam not in ("A", "B", "C", "D", "E", "F", "G"):
-            raise ConfigurationError(f"unknown family {fam!r}")
-        if not isinstance(n, int) or n < 1:
-            raise ConfigurationError(f"rank must be a positive integer, got {n!r}")
-        if fam == "D" and n < 3:
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in ("A", "B", "C", "D", "E", "F", "G"):
+            raise ConfigurationError(f"unknown family {family!r}")
+        if not isinstance(rank, int) or rank < 1:
+            raise ConfigurationError(f"rank must be a positive integer, got {rank!r}")
+        if family == "D" and rank < 3:
             raise ConfigurationError("type D requires rank >= 3")
-        if fam == "F" and n != 4:
+        if family == "F" and rank != 4:
             raise ConfigurationError("type F requires rank 4")
-        if fam == "G" and n != 2:
+        if family == "G" and rank != 2:
             raise ConfigurationError("type G requires rank 2")
-        if fam == "E" and n not in (6, 7, 8):
+        if family == "E" and rank not in (6, 7, 8):
             raise ConfigurationError("type E requires rank 6, 7 or 8")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
+    def __repr__(self) -> str:
+        return f"CartanType(family={self.family!r}, rank={self.rank!r})"
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -3,14 +3,14 @@
 Subcommands cover block enumeration (`nonkostant`, `blocks`), polynomial
 queries (`klpoly`, `klv`, `mobius`), complex export (`complex`) and the
 exactness decisions (`kostant`, `scat`).  Output formats: plain text, JSON,
-and DOT for complexes.  Exit codes: 0 success, 2 bad input, 3 element budget
-exceeded.
+and DOT for complexes.  Exit codes: 0 success, 2 invalid input, an unreadable
+cache or unwritable output, 3 element budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import re
 import sys
@@ -86,6 +86,8 @@ def _table(g: WeylGroup, args) -> KLTable:
 # -- emitters -------------------------------------------------------------------
 
 def _emit_json(payload) -> None:
+    import json  # imported on use: most queries print text
+
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
@@ -352,12 +354,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SingBggError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # stdout is a closed pipe, a full disk, ...
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        # the flush at exit would fail again and print "Exception ignored"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

@@ -16,8 +16,6 @@ sort.  An Element is made once per vertex; edges share their endpoints'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bruhat import cover_graph, iter_indices, up_masks
 from .errors import DomainError
 from .klpoly import KLTable, _dominant_sum
@@ -31,21 +29,51 @@ from .parabolic import (
 from .weyl import Element, WeylGroup, check_same_group
 
 
-@dataclass(frozen=True)
 class SkeletonEdge:
-    source: Element  # higher degree
-    target: Element  # lower degree
-    kind: str  # "morphism" or "equality"
-    sign: int | None = None
+    """An arrow of a skeleton; immutable, equal and hashed by value."""
+
+    def __init__(self, source: Element, target: Element, kind: str,
+                 sign: int | None = None):
+        object.__setattr__(self, "source", source)  # higher degree
+        object.__setattr__(self, "target", target)  # lower degree
+        object.__setattr__(self, "kind", kind)  # "morphism" or "equality"
+        object.__setattr__(self, "sign", sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.kind, self.sign)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass
 class ComplexSkeleton:
-    base: Element
-    block: SingularBlock
-    vertices: list[tuple[Element, int]]  # (element, degree), sorted
-    edges: list[SkeletonEdge]  # sorted by (target, source)
-    kind: str  # "regular", "translated" or "singular"
+    """A graded vertex set with arrows from higher to lower degree."""
+
+    def __init__(self, base: Element, block: SingularBlock,
+                 vertices: list[tuple[Element, int]], edges: list[SkeletonEdge],
+                 kind: str):
+        self.base = base
+        self.block = block
+        self.vertices = vertices  # (element, degree), sorted
+        self.edges = edges  # sorted by (target, source)
+        self.kind = kind  # "regular", "translated" or "singular"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base, self.block, self.vertices, self.edges, self.kind)
+                == (other.base, other.block, other.vertices, other.edges, other.kind))
 
     def elements(self) -> list[Element]:
         return [v for v, _ in self.vertices]

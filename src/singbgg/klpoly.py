@@ -31,11 +31,9 @@ element; it runs over the block's precomputed index terms.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import struct
 import sys
-import tempfile
 import zlib
 from array import array
 from itertools import accumulate
@@ -347,6 +345,8 @@ _U32 = "I"
 
 def _order_digest(g: WeylGroup) -> bytes:
     """SHA-256 of the Bruhat order in g's element indexing."""
+    import hashlib  # imported on use: only cache files need the digest
+
     nbytes = (g.order + 7) // 8
     h = hashlib.sha256()
     for m in down_masks(g):
@@ -372,6 +372,8 @@ def save_table(t: KLTable, path) -> None:
     leaves a partial cache.  It gets the mode open() would give it (0o666
     less the umask), not mkstemp's 0o600.
     """
+    import tempfile  # imported on use: only a cache write needs it
+
     g = t.group
     nbytes = (g.order + 7) // 8
     pool: dict[int, int] = {}

@@ -9,8 +9,6 @@ oracle on explicit posets is provided for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bruhat import down_masks, iter_indices, leq, up_masks
 from .errors import DomainError
 from .parabolic import SingularBlock
@@ -79,13 +77,19 @@ def _mobius_row(b: SingularBlock, wi: int):
         yield xi, _mobius_nonzero(outside, down[xi])
 
 
-@dataclass
 class GradedSupport:
     """The support X_w, graded by length above the base element."""
 
-    base: Element
-    strata: list[list[Element]]
-    block: SingularBlock
+    def __init__(self, base: Element, strata: list[list[Element]], block: SingularBlock):
+        self.base = base
+        self.strata = strata
+        self.block = block
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base, self.strata, self.block)
+                == (other.base, other.strata, other.block))
 
     def flatten(self) -> list[Element]:
         return [x for stratum in self.strata for x in stratum]

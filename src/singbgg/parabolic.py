@@ -16,8 +16,6 @@ minimal representative m along the right multiplication table.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bruhat import down_masks, leq, up_masks
 from .cartan import CartanType
 from .errors import DomainError, InputError
@@ -268,6 +266,8 @@ def singularity_from_weight(cartan: CartanType, coords) -> frozenset[int]:
     A_n, n for B_n, C_n, D_n), paired with the simple coroots e_i - e_{i+1}
     and, for the last node, 2e_n (B), e_n (C) or e_{n-1} + e_n (D).
     """
+    from fractions import Fraction  # imported on use: it imports decimal
+
     fam, n = cartan.family, cartan.rank
     if fam not in ("A", "B", "C", "D"):
         raise InputError(

@@ -11,8 +11,10 @@ Groups of order up to the element budget (default 1152, override with the
 time, one length layer at a time, so elements come out indexed by (length,
 ShortLex reduced word) with no sort, together with index tables for left and
 right multiplication by simple reflections and for inversion, which is all
-the heavier modules use.  Larger groups (the big E types) still support
-element arithmetic but refuse full-table operations.
+the heavier modules use.  The inversion table is read off the left
+multiplication table along each reduced word, and the right table off those
+two.  Larger groups (the big E types) still support element arithmetic but
+refuse full-table operations.
 """
 
 from __future__ import annotations
@@ -164,7 +166,13 @@ class WeylGroup:
             )
         if _num_inversions(perms[-1]) != n_pos or lengths[-2] == n_pos:
             raise AssertionError("the last index is not the unique longest element")
-        inv = [index[_invert(p)] for p in perms]
+        # w = s_1...s_k gives w^-1 = s_k...s_1: left-multiply e along the word
+        inv = []
+        for word in words:
+            k = 0
+            for s in word:
+                k = lmul[s - 1][k]
+            inv.append(k)
         self._perms, self._words, self._lengths = perms, words, lengths
         self._index, self._inv, self._lmul = index, inv, lmul
         self._rmul = [[inv[row[k]] for k in inv] for row in lmul]

@@ -2,9 +2,12 @@
 
 import gzip
 import json
+import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,7 @@ from singbgg.cli import main
 from singbgg.errors import BudgetError
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -236,3 +240,36 @@ def test_threads_option_removed(capsys):
         main(["nonkostant", "-t", "A", "-r", "3", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def _bgg(*argv, **kwargs) -> subprocess.Popen:
+    """A one-shot bgg process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-m", "singbgg.cli", *argv],
+                            env=env, **kwargs)
+
+
+def _assert_write_failure_reported(code, err):
+    assert code == 2
+    assert err.startswith("error: cannot write output: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_closed_pipe_exit_2():
+    # 276 kB of JSON, more than a pipe holds: the writer is still writing
+    # when the reader closes its end after the first line.
+    proc = _bgg("blocks", "-t", "F", "-r", "4", "-f", "json",
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    _assert_write_failure_reported(proc.wait(timeout=60), err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_exit_2():
+    with open("/dev/full", "wb") as full:
+        proc = _bgg("blocks", "-t", "A", "-r", "3", stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    _assert_write_failure_reported(proc.returncode, err.decode())

@@ -1,13 +1,13 @@
 """Complex skeletons, translation, cut-off, signs and the exactness test."""
 
-from dataclasses import replace
-
 import pytest
 
 import properties
 from helpers import all_singularities, get_group, get_table
 from singbgg import (
+    ComplexSkeleton,
     IntPolynomial,
+    SkeletonEdge,
     assign_signs,
     coset_extremum,
     cut_equalities,
@@ -189,19 +189,48 @@ def test_cut_and_sign_gates_fire():
     ba = make_block(ga, {2})
     tr = translate_skeleton(regular_skeleton(ga, ga.identity), ba)
     # without s2 the identity is alone in its coset but not its longest element
-    lone = replace(tr, vertices=[p for p in tr.vertices if p[0] != ga.generator(2)])
+    lone = ComplexSkeleton(tr.base, tr.block,
+                           [p for p in tr.vertices if p[0] != ga.generator(2)],
+                           tr.edges, tr.kind)
     with pytest.raises(AssertionError, match="lone coset element <e>"):
         cut_equalities(lone)
     gb = get_group("B", 3)
     bb = make_block(gb, {2, 3})
     tr = translate_skeleton(regular_skeleton(gb, gb.identity), bb)
     # seven of the eight elements of W_lambda
-    odd = replace(tr, vertices=[p for p in tr.vertices if p[0] != gb.generator(2)])
+    odd = ComplexSkeleton(tr.base, tr.block,
+                          [p for p in tr.vertices if p[0] != gb.generator(2)],
+                          tr.edges, tr.kind)
     with pytest.raises(AssertionError, match="matching is not perfect"):
         cut_equalities(odd)
     sk = regular_skeleton(get_group("A", 2), get_group("A", 2).identity)
     with pytest.raises(AssertionError, match="has 1 intermediate elements"):
-        assign_signs(replace(sk, edges=sk.edges[1:]))
+        assign_signs(ComplexSkeleton(sk.base, sk.block, sk.vertices, sk.edges[1:],
+                                     sk.kind))
+
+
+def test_skeletons_compare_by_value():
+    g = get_group("B", 3)
+    b = make_block(g, {2})
+    w = g.from_word([1, 3, 2])
+    direct = singular_skeleton(w, b)
+    staged = cut_equalities(translate_skeleton(regular_skeleton(g, w), b))
+    # the two paths build their own edges: the pipeline check compares values
+    assert len(direct.edges) > 1
+    assert all(d is not s for d, s in zip(direct.edges, staged.edges))
+    assert direct.edges == staged.edges and direct == staged
+    e = direct.edges[0]
+    same = SkeletonEdge(source=e.source, target=e.target, kind=e.kind)
+    assert same == e and hash(same) == hash(e) and len({same, e}) == 1
+    assert SkeletonEdge(e.source, e.target, e.kind, sign=1) != e
+    assert SkeletonEdge(e.source, e.target, "equality") != e
+    assert SkeletonEdge(e.target, e.source, e.kind) != e
+    with pytest.raises(AttributeError):
+        e.sign = 1
+    assert direct != ComplexSkeleton(direct.base, direct.block, direct.vertices,
+                                     direct.edges[1:], direct.kind)
+    assert direct != ComplexSkeleton(direct.base, direct.block, direct.vertices,
+                                     direct.edges, "translated")
 
 
 def test_coset_gates_fire(monkeypatch):

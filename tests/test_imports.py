@@ -1,12 +1,20 @@
-"""The package imports only the standard library and itself."""
+"""The package imports only the standard library and itself, and a one-shot
+`bgg` process imports no module it does not use."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import singbgg
 
 SRC = pathlib.Path(singbgg.__file__).parent
+
+# Modules that cost a one-shot process milliseconds to import and that only
+# some queries use: each is imported by the function that needs it.
+DEFERRED = {"dataclasses", "inspect", "fractions", "decimal", "json", "hashlib"}
 
 
 def _imported_modules(path):
@@ -34,3 +42,40 @@ def test_fractions_only_for_weight_input():
     users = {path.name for path in SRC.glob("*.py")
              if "fractions" in set(_imported_modules(path))}
     assert users == {"parabolic.py"}
+
+
+def _fresh(*argv: str) -> str:
+    """stdout of a fresh interpreter run with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_deferred_modules():
+    # Measured against a bare interpreter, so whatever site imports is ignored.
+    bare = set(_fresh("-c", "import sys; print(*sys.modules)").split())
+    cli = set(_fresh("-c", "import sys, singbgg.cli; print(*sys.modules)").split())
+    added = cli - bare
+    assert "singbgg.cli" in added
+    assert added & DEFERRED == set()
+
+
+def test_deferred_imports_work_in_a_fresh_process(tmp_path):
+    out = _fresh("-c", "from singbgg import CartanType, singularity_from_weight; "
+                 "print(sorted(singularity_from_weight(CartanType('A', 3), "
+                 "['3/2', '1/2', '1/2', -1])))")
+    assert out == "[2]\n"
+    out = _fresh("-m", "singbgg.cli", "mobius", "-t", "B", "-r", "3", "-s", "2,3",
+                 "--w", "3232", "--x", "13232", "-f", "json")
+    assert json.loads(out) == {"w": [2, 3, 2, 3], "x": [1, 2, 3, 2, 3],
+                               "singular": [2, 3], "mobius": -1}
+    cache = tmp_path / "b3.klv"
+    argv = ("-m", "singbgg.cli", "klpoly", "-t", "B", "-r", "3", "--y", "3232",
+            "--w", "2321232", "--cache", str(cache))
+    assert _fresh(*argv) == "1+q\n"  # builds the table and saves it
+    saved = cache.read_bytes()
+    assert saved[:4] == b"KLV3"
+    assert _fresh(*argv) == "1+q\n"  # loads it, checking the order digest
+    assert cache.read_bytes() == saved

@@ -5,6 +5,7 @@ import pytest
 import properties
 from helpers import all_singularities, get_group
 from singbgg import (
+    GradedSupport,
     leq,
     make_block,
     mobius_lambda,
@@ -86,6 +87,17 @@ def test_support_b3_example():
     w = g.from_word([3, 2, 3, 2])
     gs = support_X(w, b)
     assert gs.strata == [[w], [g.generator(1) * w]]
+
+
+def test_support_compares_by_value():
+    g = get_group("B", 3)
+    b = make_block(g, {2, 3})
+    w = g.from_word([3, 2, 3, 2])
+    gs = support_X(w, b)
+    again = support_X(g.from_word([3, 2, 3, 2]), b)
+    assert gs is not again and gs == again
+    assert gs != GradedSupport(gs.base, gs.strata[:1], gs.block)
+    assert gs != GradedSupport(gs.base, gs.strata, make_block(g, {2}))
 
 
 def test_support_a3_non_interval():

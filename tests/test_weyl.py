@@ -46,9 +46,33 @@ def test_positive_roots_in_simple_root_basis(fam, rank, count, highest):
 
 
 def test_bad_cartan_rejected():
-    for fam, rank in [("Z", 2), ("F", 3), ("G", 3), ("E", 5), ("D", 2), ("A", 0)]:
-        with pytest.raises(ConfigurationError):
+    for fam, rank, message in [
+        ("Z", 2, "unknown family 'Z'"),
+        ("F", 3, "type F requires rank 4"),
+        ("G", 3, "type G requires rank 2"),
+        ("E", 5, "type E requires rank 6, 7 or 8"),
+        ("D", 2, "type D requires rank >= 3"),
+        ("A", 0, "rank must be a positive integer, got 0"),
+        ("A", "3", "rank must be a positive integer, got '3'"),
+    ]:
+        with pytest.raises(ConfigurationError) as exc:
             CartanType(fam, rank)
+        assert str(exc.value) == message
+
+
+def test_cartan_type_is_an_immutable_value():
+    b4 = CartanType("B", 4)
+    assert b4 == CartanType("B", 4) and hash(b4) == hash(CartanType("B", 4))
+    assert b4 != CartanType("C", 4) and b4 != CartanType("B", 3)
+    assert b4 != ("B", 4)
+    assert len({b4, CartanType("B", 4), CartanType("C", 4)}) == 2
+    assert repr(b4) == "CartanType(family='B', rank=4)"
+    assert str(b4) == "B4"
+    with pytest.raises(AttributeError):
+        b4.rank = 5
+    with pytest.raises(AttributeError):
+        b4.family = "C"
+    assert (b4.family, b4.rank) == ("B", 4)
 
 
 def test_word_round_trip():
