@@ -44,7 +44,7 @@ from .klpoly import (
     mu_coefficient,
     save_table,
 )
-from .mobius import GradedSupport, mobius_lambda, mobius_oracle, support_X
+from .mobius import GradedSupport, mobius_lambda, support_X
 from .parabolic import (
     SingularBlock,
     complementary_singularity,
@@ -94,7 +94,6 @@ __all__ = [
     "lower_covers",
     "make_block",
     "mobius_lambda",
-    "mobius_oracle",
     "mu_coefficient",
     "nonkostant_block",
     "partition_pairs",

@@ -130,7 +130,17 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def iter_indices(mask: int):
     """Indices of the set bits of mask, in increasing order.
 
-    The mask is read in one pass over its binary digits.
+    A mask with at least one set bit in 32 is read in one pass over its
+    binary digits, a sparser one by stripping its lowest set bit in turn.
     """
+    if mask.bit_count() << 5 < mask.bit_length():
+        return _iter_sparse(mask)
     bits = bin(mask)[:1:-1].encode("ascii").translate(_BITS)
     return compress(range(len(bits)), bits)
+
+
+def _iter_sparse(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

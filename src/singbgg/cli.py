@@ -290,8 +290,15 @@ def _cmd_scat(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # argparse drops a failed write
+        file = file or sys.stderr
+        file.write(message)
+        file.flush()
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bgg",
         description="Exact combinatorics of singular BGG complexes.",
     )
@@ -352,8 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # --help and usage errors exit here
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -6,7 +6,9 @@ cover arrows; translating to a singular block turns same-coset arrows into
 equality edges; cutting those out leaves the singular skeleton supported on
 X_w.  Exactness of the singular complex is decided purely combinatorially:
 for every x above w in the block poset the dominant-side singular polynomial
-must equal the absolute value of the block Möbius number.
+must equal the absolute value of the block Möbius number.  A block is
+scanned top-down, witnesses first: each representative first tries the x
+at which a higher one failed.  Results are in index order.
 
 Every stage is built on element indices: the up mask of w, the cover graph,
 the coset table and the index matchings of `parabolic`.  Index order is
@@ -232,29 +234,34 @@ def is_kostant(w: Element, b: SingularBlock, t: KLTable) -> bool:
     check_same_group(b.group, w, t)
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
-    return _is_kostant_index(w.index, b, t)
+    return _failing_rep(w.index, b, t, 0) < 0
 
 
-def _is_kostant_index(wi: int, b: SingularBlock, t: KLTable) -> bool:
-    """is_kostant on element indices: |mu(w, x)| is 0 or 1 on the block poset."""
+def _failing_rep(wi: int, b: SingularBlock, t: KLTable, first: int) -> int:
+    """Index of a longest representative x >= w_wi whose dominant-side sum
+    is not |mu(w, x)|, or -1; the x in mask `first` are tried first."""
     zi = b.group.rmul_w0_indices()[wi]
     terms = b._dominant_terms
-    for xi, nonzero in _mobius_row(b, wi):
+    for xi, nonzero in _mobius_row(b, wi, first):
         if _dominant_sum(t, terms[xi], zi) != (1 if nonzero else 0):
-            return False
-    return True
+            return xi
+    return -1
 
 
 def nonkostant_block(g: WeylGroup, S, t: KLTable) -> list[Element]:
-    """All longest representatives whose singular complex is not exact,
-    sorted by (length, ShortLex word)."""
+    """All longest representatives whose singular complex is not exact, in
+    index order.  The scan runs top-down; each w first tries the witnesses,
+    the x at which a higher representative failed."""
     check_same_group(g, t)
     b = make_block(g, S)
-    return [
-        g.element_by_index(wi)
-        for wi in b._maxrep_indices
-        if not _is_kostant_index(wi, b, t)
-    ]
+    witnesses = 0
+    bad = []
+    for wi in reversed(b._maxrep_indices):
+        xi = _failing_rep(wi, b, t, witnesses)
+        if xi >= 0:
+            witnesses |= 1 << xi
+            bad.append(wi)
+    return [g.element_by_index(wi) for wi in reversed(bad)]
 
 
 def dominant_support(b: SingularBlock) -> set[Element]:
@@ -278,4 +285,4 @@ def s_category_has_bgg(w: Element, b: SingularBlock, t: KLTable) -> bool:
         raise DomainError(
             f"{w!r} is not a longest right-coset representative"
         )
-    return _is_kostant_index(wi, b, t)
+    return _failing_rep(wi, b, t, 0) < 0

@@ -3,8 +3,7 @@
 The block poset is the set of longest coset representatives with the induced
 Bruhat order.  Its Möbius function has a closed form: it vanishes exactly
 when the full Bruhat interval between the endpoints leaves the representative
-set, and is (-1)^(length difference) otherwise.  A generic recursive Möbius
-oracle on explicit posets is provided for cross-checking.
+set, and is (-1)^(length difference) otherwise.
 """
 
 from __future__ import annotations
@@ -13,27 +12,6 @@ from .bruhat import down_masks, iter_indices, leq, up_masks
 from .errors import DomainError
 from .parabolic import SingularBlock
 from .weyl import Element, check_same_group
-
-
-def mobius_oracle(elements, order, a, b) -> int:
-    """Möbius function of the explicit poset (elements, order), by recursion.
-
-    ``order`` is a binary predicate; returns 0 when a is not below b
-    (incomparable-pair convention).  Memoized per call.
-    """
-    if not order(a, b):
-        return 0
-    below_b = [z for z in elements if order(z, b)]
-    memo: dict = {}
-
-    def mu(z) -> int:
-        if z == b:
-            return 1
-        if z not in memo:
-            memo[z] = -sum(mu(t) for t in below_b if order(z, t) and t != z)
-        return memo[z]
-
-    return mu(a)
 
 
 def mobius_lambda(w: Element, x: Element, b: SingularBlock) -> int:
@@ -50,31 +28,26 @@ def mobius_lambda(w: Element, x: Element, b: SingularBlock) -> int:
     if not leq(w, x):
         return 0
     g = b.group
-    wi, xi = w.index, x.index
-    if not _mobius_nonzero(up_masks(g)[wi] & ~b._maxrep_mask, down_masks(g)[xi]):
+    if up_masks(g)[w.index] & ~b._maxrep_mask & down_masks(g)[x.index]:
         return 0
     return -1 if (x.length - w.length) % 2 else 1
 
 
-def _mobius_nonzero(outside: int, down_x: int) -> bool:
-    """|mu(w, x)| for longest representatives w <= x, as a bool.
+def _mobius_row(b: SingularBlock, wi: int, first: int = 0):
+    """(xi, mu(w, x) != 0) for the longest representatives x >= w = w_wi:
+    those in mask `first` in increasing index order, then the others.
 
-    ``outside`` masks the elements above w that are not longest
-    representatives and ``down_x`` the elements below x; both endpoints lie
-    in the block, so an interior element outside it is any common bit.
+    Both endpoints lie in the block, so mu(w, x) vanishes iff some element
+    above w outside the block lies below x.
     """
-    return not outside & down_x
-
-
-def _mobius_row(b: SingularBlock, wi: int):
-    """(xi, mu(w, x) != 0) for the longest representatives x >= w = w_wi,
-    in increasing index order."""
     g = b.group
     up = up_masks(g)[wi]
     down = down_masks(g)
     outside = up & ~b._maxrep_mask
-    for xi in iter_indices(up & b._maxrep_mask):
-        yield xi, _mobius_nonzero(outside, down[xi])
+    reps = up & b._maxrep_mask
+    for mask in (reps & first, reps & ~first):
+        for xi in iter_indices(mask):
+            yield xi, not outside & down[xi]
 
 
 class GradedSupport:

@@ -30,6 +30,27 @@ def all_singularities(rank):
         combinations(idx, k) for k in range(rank + 1))]
 
 
+def mobius_oracle(elements, order, a, b) -> int:
+    """Möbius function of the explicit poset (elements, order), by recursion.
+
+    ``order`` is a binary predicate; returns 0 when a is not below b
+    (incomparable-pair convention).  Memoized per call.
+    """
+    if not order(a, b):
+        return 0
+    below_b = [z for z in elements if order(z, b)]
+    memo: dict = {}
+
+    def mu(z) -> int:
+        if z == b:
+            return 1
+        if z not in memo:
+            memo[z] = -sum(mu(t) for t in below_b if order(z, t) and t != z)
+        return memo[z]
+
+    return mu(a)
+
+
 RANK_LE_3 = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3),
              ("C", 3), ("D", 3)]
 

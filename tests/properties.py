@@ -4,6 +4,7 @@ Each function raises AssertionError on the first violation.  They are called
 from the module test files and re-run in bulk by the acceptance suite.
 """
 
+from helpers import mobius_oracle
 from singbgg import (
     assign_signs,
     coset_extremum,
@@ -18,7 +19,6 @@ from singbgg import (
     lower_covers,
     make_block,
     mobius_lambda,
-    mobius_oracle,
     nonkostant_block,
     partition_pairs,
     regular_skeleton,

@@ -1,6 +1,7 @@
 """Bruhat order: comparisons, covers and intervals against a subword oracle."""
 
 import random
+from itertools import compress
 
 import pytest
 
@@ -73,5 +74,14 @@ def test_iter_indices_dense_and_sparse():
     masks = [0, 1, 2, 1 << 1000, (1 << 1152) - 1]
     masks += [rng.getrandbits(2000) for _ in range(20)]  # dense
     masks += [sum(1 << rng.randrange(4000) for _ in range(5)) for _ in range(20)]  # sparse
-    for m in masks:
+    # one set bit in 32 is the line between the two paths: 100 bits over
+    # 3,200 digits is read in one pass, 99 bits bit by bit
+    line = sum(1 << (32 * i + 31) for i in range(100))
+    dense = [line, line | 1, 0]
+    sparse = [line ^ 1 << 1631, 1 << 1151]
+    for m in dense:
+        assert type(iter_indices(m)) is compress
+    for m in sparse:
+        assert type(iter_indices(m)) is not compress
+    for m in masks + dense + sparse:
         assert list(iter_indices(m)) == [i for i in range(m.bit_length()) if m >> i & 1]

@@ -273,3 +273,18 @@ def test_full_device_exit_2():
         proc = _bgg("blocks", "-t", "A", "-r", "3", stdout=full, stderr=subprocess.PIPE)
         _, err = proc.communicate(timeout=60)
     _assert_write_failure_reported(proc.returncode, err.decode())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("--help",), ("blocks", "--help")])
+def test_help_to_full_device_exit_2(argv, unbuffered, monkeypatch):
+    # argparse writes the help text inside parse_args and drops a failed write
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with open("/dev/full", "wb") as full:
+        proc = _bgg(*argv, stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    _assert_write_failure_reported(proc.returncode, err.decode())

@@ -3,7 +3,7 @@
 import pytest
 
 import properties
-from helpers import all_singularities, get_group, get_table
+from helpers import RANK_LE_3, all_singularities, get_group, get_table, mobius_oracle
 from singbgg import (
     ComplexSkeleton,
     IntPolynomial,
@@ -19,7 +19,6 @@ from singbgg import (
     leq,
     make_block,
     mobius_lambda,
-    mobius_oracle,
     mu_coefficient,
     nonkostant_block,
     partition_pairs,
@@ -29,6 +28,7 @@ from singbgg import (
     support_X,
     translate_skeleton,
 )
+from singbgg import complexes
 from singbgg.errors import DomainError, InputError
 
 # Upper interval of s1s2 in A3: vertex words and its 22 cover arrows
@@ -346,6 +346,61 @@ def test_nonkostant_sorted_deterministic():
     t = get_table("B", 3)
     out = nonkostant_block(g, {1, 2}, t)
     assert out == sorted(out)
+
+
+@pytest.mark.parametrize("fam,rank", RANK_LE_3 + [("A", 4), ("B", 4), ("C", 4), ("D", 4),
+                                                   ("F", 4), ("A", 5)])
+def test_witness_order_keeps_answers(fam, rank):
+    # nonkostant_block scans top-down, witnesses first; the answer and its
+    # order must be those of testing each representative on its own.
+    g = get_group(fam, rank)
+    t = get_table(fam, rank)
+    for S in all_singularities(rank):
+        b = make_block(g, S)
+        expect = [w for w in b.max_reps if not is_kostant(w, b, t)]
+        assert nonkostant_block(g, S, t) == expect, S
+
+
+def _kostant_by_pairs(w, b, t):
+    """The exactness test pair by pair in index order: the dominant-side
+    polynomial is the constant |mu(w, x)| for every representative x >= w."""
+    return all(klv_dominant(t, b, w, x) == IntPolynomial((abs(mobius_lambda(w, x, b)),))
+               for x in b.max_reps if leq(w, x))
+
+
+@pytest.mark.parametrize("fam,rank", RANK_LE_3)
+def test_exactness_matches_pairwise_definition(fam, rank):
+    g = get_group(fam, rank)
+    t = get_table(fam, rank)
+    for S in all_singularities(rank):
+        b = make_block(g, S)
+        for w in b.max_reps:
+            assert is_kostant(w, b, t) == _kostant_by_pairs(w, b, t), (S, w)
+        for w in b.right_max_reps:
+            assert s_category_has_bgg(w, b, t) == _kostant_by_pairs(w.inverse(), b, t), (S, w)
+
+
+def test_witness_scan_work_count(monkeypatch):
+    # Pair sums over all 64 blocks of A4, B4, D4 and F4: 253,831 when every
+    # representative scans its row in index order, 89,616 witnesses first.
+    calls = 0
+    dominant_sum = complexes._dominant_sum
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return dominant_sum(*args)
+
+    monkeypatch.setattr(complexes, "_dominant_sum", counted)
+    bad = 0
+    for fam in "ABDF":
+        g = get_group(fam, 4)
+        t = get_table(fam, 4)
+        for S in all_singularities(4):
+            bad += len(nonkostant_block(g, S, t))
+    assert bad == 5540
+    assert calls <= 100_000
+    assert calls == 89_616
 
 
 def _w0_conjugate(g, S):

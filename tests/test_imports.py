@@ -79,3 +79,9 @@ def test_deferred_imports_work_in_a_fresh_process(tmp_path):
     assert saved[:4] == b"KLV3"
     assert _fresh(*argv) == "1+q\n"  # loads it, checking the order digest
     assert cache.read_bytes() == saved
+
+
+def test_test_oracle_not_exported():
+    # The recursive Möbius oracle checks the package; it lives in tests/helpers.py.
+    assert "mobius_oracle" not in singbgg.__all__
+    assert not hasattr(singbgg, "mobius_oracle")

@@ -3,13 +3,12 @@
 import pytest
 
 import properties
-from helpers import all_singularities, get_group
+from helpers import all_singularities, get_group, mobius_oracle
 from singbgg import (
     GradedSupport,
     leq,
     make_block,
     mobius_lambda,
-    mobius_oracle,
     support_X,
 )
 from singbgg.errors import DomainError

@@ -8,6 +8,7 @@ import properties
 from helpers import all_singularities, get_group
 from singbgg import (
     CartanType,
+    build_group,
     complementary_singularity,
     coset_extremum,
     hat_map,
@@ -189,6 +190,14 @@ def test_hat_map():
         b = make_block(g, S)
         image = sorted(hat_map(w) for w in b.max_reps)
         assert image == sorted(b.right_min_reps)
+
+
+def test_hat_map_above_the_budget():
+    # A group above the element budget has no index tables; hat_map still answers.
+    small = build_group(CartanType("B", 3), budget=10)
+    assert not small.enumerated
+    for w in get_group("B", 3).elements():
+        assert hat_map(small.from_word(w.reduced_word())).perm == hat_map(w).perm
 
 
 def test_complementary_singularity():
