@@ -1,7 +1,23 @@
 """Kazhdan-Lusztig polynomials and their singular alternating-sum variants.
 
 The full table is computed bottom-up in length order with the standard
-recursion.  Inside the table every polynomial is one Python int, its value at
+recursion, run only on extremal pairs (du Cloux, "Computing Kazhdan-Lusztig
+polynomials for arbitrary Coxeter groups", Experiment. Math. 11, 2002).  Let
+I = D_L(w) and J = D_R(w).  P_{y,w} = P_{sy,w} for s in I and
+P_{y,w} = P_{yt,w} for t in J, so P_{y,w} only depends on the double coset
+W_I y W_J and equals P_{m,w} for its maximum m.  Column w runs the recursion
+on the y <= w that are such a maximum, those with I in D_L(y) and J in
+D_R(y), and every other y copies its m.  m is reached in two climbs: first
+to the longest element of y W_J, then to the longest element of W_I times
+that.  Let x have every t in J as a right descent and s x > x.  Deodhar's
+lemma says that s x has them too or s x = x t for some t in J; the second
+is ruled out by x t < x < s x.  So the left climb keeps the right descents
+and ends at an element maximal on both sides, which is m.  Every step of a
+climb stays below w by the lifting property, as w is maximal in its own
+double coset.  F4 has 23,920 extremal pairs among its 396,809 comparable
+pairs.
+
+Inside the table every polynomial is one Python int, its value at
 q = 2**_WIDTH (Kronecker substitution).  This is an exact ring map from Z[q]
 to Z, so the recursion and the signed sums run on plain integers: sums stay
 sums, multiplying by q**k is multiplying by 1 << (_WIDTH * k).  Reading a
@@ -121,6 +137,27 @@ class IntPolynomial(tuple):
         return f"IntPolynomial({str(self)})"
 
 
+def _climb(rows: list[list[int]], gens: int, ident: list[int]) -> list[int]:
+    """climb[y] is the longest element of the coset of y under the generators
+    s with bit s of gens set, on the side rows multiply on (rows[s][y] is
+    s y for _lmul, y s for _rmul).  ident is list(range(|W|)); the climb
+    shares its ints, so it costs one pointer per element.
+
+    Indices grow with length, so one pass from the top index down reaches
+    each coset's maximum before the rest of the coset: if some s in gens
+    takes y up, y and s y share the coset and so its maximum.
+    """
+    up = [row for s, row in enumerate(rows) if gens >> s & 1]
+    climb = ident.copy()
+    for yi in reversed(ident):
+        for row in up:
+            zi = row[yi]
+            if zi > yi:
+                climb[yi] = climb[zi]
+                break
+    return climb
+
+
 class KLTable:
     """Complete Kazhdan-Lusztig table for a fully enumerated group.
 
@@ -150,10 +187,16 @@ class KLTable:
         down = self._down
         lengths = g._lengths
         words = g._words
-        lmul = g._lmul
+        lmul, rmul = g._lmul, g._rmul
         n = g.order
-        # desc[s] has bit i set iff s is a left descent of w_i
+        gens = range(g.rank)
+        # desc[s] (desc_r[s]) has bit i set iff s is a left (right) descent of w_i
         desc = [_mask(i for i in range(n) if row[i] < i) for row in lmul]
+        desc_r = [_mask(i for i in range(n) if row[i] < i) for row in rmul]
+        # climbs to the longest element of W_I y (of y W_J), by descent set
+        ident = list(range(n))
+        left_climbs: dict[int, list[int]] = {}
+        right_climbs: dict[int, list[int]] = {}
         cols: list[dict[int, int]] = [{} for _ in range(n)]
         mu_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         # distinct stored value -> (the shared int, degree, leading coefficient)
@@ -178,9 +221,19 @@ class KLTable:
                     mu_sum += m
             _check_width((2 + mu_sum) * cmax)
             dmask = down[wi]
-            # y with s y < y by the recursion; then s y > y by P_{y,w} = P_{sy,w}
+            # I = D_L(w), J = D_R(w); the recursion runs on the extremal
+            # y <= w, those with I in D_L(y) and J in D_R(y) (s is in I)
+            left = right = 0
+            ext = dmask
+            for t in gens:
+                if lmul[t][wi] < wi:
+                    left |= 1 << t
+                    ext &= desc[t]
+                if rmul[t][wi] < wi:
+                    right |= 1 << t
+                    ext &= desc_r[t]
             results: dict[int, int] = {}
-            for yi in iter_indices(dmask & ds):
+            for yi in iter_indices(ext):
                 p = col_v.get(sl[yi], 1)  # s y <= v by the lifting property
                 if down_v >> yi & 1:
                     p += col_v.get(yi, 1) << width
@@ -188,8 +241,17 @@ class KLTable:
                     if down_z >> yi & 1:
                         p -= mq * col_z.get(yi, 1)
                 results[yi] = p
-            for yi in iter_indices(dmask & ~ds):
-                results[yi] = results[sl[yi]]
+            # every other y copies P_{m,w} for m the maximum of W_I y W_J,
+            # extremal and below w; m = cl[cr[y]] by Deodhar's lemma (see the
+            # module docstring)
+            cl = left_climbs.get(left)
+            if cl is None:
+                cl = left_climbs[left] = _climb(lmul, left, ident)
+            cr = right_climbs.get(right)
+            if cr is None:
+                cr = right_climbs[right] = _climb(rmul, right, ident)
+            for yi in iter_indices(dmask & ~ext):
+                results[yi] = results[cl[cr[yi]]]
             col = cols[wi]
             row_mu = mu_rows[wi]
             for yi, p in results.items():

@@ -51,6 +51,23 @@ def mobius_oracle(elements, order, a, b) -> int:
     return mu(a)
 
 
+def rationally_smooth(g, vi):
+    """Whether the Schubert variety of w_vi is rationally smooth, by the
+    Carrell-Peterson criterion: the rank generating function
+    sum over y <= v of q^l(y) is palindromic.  Reads only the Bruhat order
+    and lengths, so it is independent of the KL table.
+
+    J. Carrell, "The Bruhat graph of a Coxeter group, a conjecture of
+    Deodhar, and rational smoothness of Schubert varieties", Proc. Sympos.
+    Pure Math. 56 (1994).
+    """
+    lengths = g._lengths
+    ranks = [0] * (lengths[vi] + 1)
+    for yi in iter_indices(down_masks(g)[vi]):
+        ranks[lengths[yi]] += 1
+    return ranks == ranks[::-1]
+
+
 RANK_LE_3 = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3),
              ("C", 3), ("D", 3)]
 

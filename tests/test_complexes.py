@@ -3,16 +3,26 @@
 import pytest
 
 import properties
-from helpers import RANK_LE_3, all_singularities, get_group, get_table, mobius_oracle
+from helpers import (
+    RANK_LE_3,
+    all_singularities,
+    get_group,
+    get_table,
+    mobius_oracle,
+    rationally_smooth,
+)
 from singbgg import (
+    CartanType,
     ComplexSkeleton,
     IntPolynomial,
     SkeletonEdge,
     assign_signs,
+    build_group,
     coset_extremum,
     cut_equalities,
     dominant_support,
     is_kostant,
+    kl_table,
     klv_dominant,
     klv_polynomial,
     kostant_decompose,
@@ -401,6 +411,27 @@ def test_witness_scan_work_count(monkeypatch):
     assert bad == 5540
     assert calls <= 100_000
     assert calls == 89_616
+
+
+@pytest.mark.parametrize("fam,rank,count", [
+    ("A", 1, 0), ("A", 2, 0), ("B", 2, 0), ("G", 2, 0), ("A", 3, 2), ("B", 3, 14),
+    ("C", 3, 14), ("D", 3, 2), ("A", 4, 32), ("B", 4, 242), ("C", 4, 242),
+    ("D", 4, 84), ("F", 4, 978), ("A", 5, 354), ("D", 5, 1430),
+])
+def test_regular_block_matches_rational_smoothness(fam, rank, count):
+    # For S = {} the block poset is W, Bruhat intervals are Eulerian and
+    # |mu| = 1 on every comparable pair, so w is Kostant iff P_{y,v} = 1 for
+    # all y <= v = w w0, iff the Schubert variety of v is rationally smooth
+    # (Carrell-Peterson).  The oracle reads no KL polynomial.
+    if fam == "D" and rank == 5:  # 1920 elements, above the default budget
+        g = build_group(CartanType(fam, rank), budget=1920)
+        t = kl_table(g)
+    else:
+        g, t = get_group(fam, rank), get_table(fam, rank)
+    rw0 = g.rmul_w0_indices()
+    expect = [wi for wi in range(g.order) if not rationally_smooth(g, rw0[wi])]
+    assert [w.index for w in nonkostant_block(g, set(), t)] == expect
+    assert len(expect) == count
 
 
 def _w0_conjugate(g, S):

@@ -101,6 +101,56 @@ def test_distinct_counts():
     assert (len(t), len(t._pool), t._cmax) == (231036, 312, 12)
 
 
+def _descent_masks(rows):
+    """d[y] has bit s set iff s is a descent of y on the side rows multiply on."""
+    return [sum(1 << s for s, row in enumerate(rows) if row[y] < y) for y in range(len(rows[0]))]
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 3), ("A", 4), ("F", 4)])
+def test_climbs_reach_the_coset_maximum(fam, rank):
+    # cl_I[y] lies in W_I y and has every s in I as a left descent, so it is
+    # the longest element of W_I y; the same for y W_J on the right
+    g = get_group(fam, rank)
+    elems = list(g.elements())
+    ident = list(range(g.order))
+    for rows, on_left in ((g._lmul, True), (g._rmul, False)):
+        desc = _descent_masks(rows)
+        for gens in range(1 << rank):
+            climb = klpoly._climb(rows, gens, ident)
+            for y, top in zip(elems, map(elems.__getitem__, climb)):
+                assert desc[top.index] & gens == gens
+                u = top * y.inverse() if on_left else y.inverse() * top
+                assert {s - 1 for s in u.reduced_word()} <= {s for s in range(rank) if gens >> s & 1}
+
+
+def test_extremal_recursion_work_count(monkeypatch):
+    # The build runs the recursion on the extremal y <= w only, those with
+    # D_L(w) in D_L(y) and D_R(w) in D_R(y), and copies every other entry.
+    # F4: 23,919 recursion entries for w > e, 23,920 extremal pairs with
+    # (e, e), against 198,404 when every y with s y < y for one left
+    # descent s of w went through the recursion.
+    g = get_group("F", 4)
+    masks = []
+
+    def recorded(mask):
+        masks.append(mask)
+        return iter_indices(mask)
+
+    monkeypatch.setattr(klpoly, "iter_indices", recorded)
+    kl_table(g)
+    monkeypatch.undo()
+    down = down_masks(g)
+    left, right = _descent_masks(g._lmul), _descent_masks(g._rmul)
+    # per w > e: the recursion's y, then the copied y
+    assert len(masks) == 2 * (g.order - 1)
+    ext, copied = masks[0::2], masks[1::2]
+    for wi, (e, c) in enumerate(zip(ext, copied), start=1):
+        assert e & c == 0 and e | c == down[wi]
+        assert e == sum(1 << yi for yi in iter_indices(down[wi])
+                        if left[wi] & ~left[yi] == 0 and right[wi] & ~right[yi] == 0)
+    assert sum(map(int.bit_count, ext)) == 23_919
+
+
 def test_pack_round_trip():
     for coeffs in [(), (1,), (1, 1), (1, 0, 3), (-5, 2), (1, -(2**31)), (2**31 - 1, 7)]:
         assert klpoly._unpack(klpoly._pack(coeffs)) == coeffs
