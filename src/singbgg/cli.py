@@ -5,6 +5,15 @@ queries (`klpoly`, `klv`, `mobius`), complex export (`complex`) and the
 exactness decisions (`kostant`, `scat`).  Output formats: plain text, JSON,
 and DOT for complexes.  Exit codes: 0 success, 2 invalid input, an unreadable
 cache or unwritable output, 3 element budget exceeded.
+
+Each subcommand is one row of `_COMMANDS`, and the parser is built from
+those rows.  `_run` checks all input in one order before any answer is
+computed: the group (its budget first), the singularity set and block, and
+every word.  Only then does it build or load the KL table, and only for the
+subcommands that read one (`nonkostant`, `klpoly`, `klv`, `kostant`,
+`scat`); `--cache` is accepted everywhere so one command line fits all.
+Domain errors, such as w not being a longest representative, still come
+from the library call that answers the query.
 """
 
 from __future__ import annotations
@@ -14,32 +23,18 @@ import contextlib
 import os
 import re
 import sys
+from collections import namedtuple
 
 from .cartan import CartanType
-from .complexes import (
-    assign_signs,
-    is_kostant,
-    nonkostant_block,
-    regular_skeleton,
-    s_category_has_bgg,
-    singular_skeleton,
-    translate_skeleton,
-)
-from .errors import BudgetError, SingBggError
-from .klpoly import (
-    KLTable,
-    kl_table,
-    klv_dominant,
-    load_table,
-    save_table,
-)
+from .complexes import (assign_signs, is_kostant, nonkostant_block, regular_skeleton,
+                         s_category_has_bgg, singular_skeleton, translate_skeleton)
+from .errors import BudgetError, InputError, SingBggError
+from .klpoly import KLTable, kl_table, klv_dominant, load_table, save_table
 from .mobius import mobius_lambda, support_X
 from .parabolic import make_block
 from .weyl import Element, WeylGroup, build_group, check_budget
 
-def _word_str(w: Element) -> str:
-    return "".join(str(i) for i in w.reduced_word()) or "e"
-
+# -- input ----------------------------------------------------------------------
 
 def _parse_ints(text: str, empty: tuple[str, ...], what: str) -> list[int]:
     """The integers of text, separated by commas or whitespace, or one per
@@ -51,7 +46,7 @@ def _parse_ints(text: str, empty: tuple[str, ...], what: str) -> list[int]:
     try:
         return [int(p) for p in parts if p]
     except ValueError:
-        raise SingBggError(f"cannot parse {what} {text!r}") from None
+        raise InputError(f"cannot parse {what} {text!r}") from None
 
 
 def _parse_word(g: WeylGroup, text: str) -> Element:
@@ -62,15 +57,7 @@ def _parse_singular(text: str) -> frozenset[int]:
     return frozenset(_parse_ints(text, ("", "none"), "singularity set"))
 
 
-def _group(args) -> WeylGroup:
-    # Every subcommand needs the enumerated group: refuse before building it.
-    cartan = CartanType(args.type.upper(), args.rank)
-    check_budget(cartan)
-    return build_group(cartan)
-
-
-def _table(g: WeylGroup, args) -> KLTable:
-    cache = getattr(args, "cache", None)
+def _table(g: WeylGroup, cache: str | None) -> KLTable:
     if cache and os.path.exists(cache):
         return load_table(g, cache)
     t = kl_table(g)
@@ -84,6 +71,10 @@ def _table(g: WeylGroup, args) -> KLTable:
 
 
 # -- emitters -------------------------------------------------------------------
+
+def _word_str(w: Element) -> str:
+    return "".join(str(i) for i in w.reduced_word()) or "e"
+
 
 def _emit_json(payload) -> None:
     import json  # imported on use: most queries print text
@@ -139,115 +130,59 @@ def _skeleton_payload(g: WeylGroup, S: frozenset[int], sk) -> dict:
     }
 
 
-# -- subcommand handlers --------------------------------------------------------
+# -- subcommand handlers: each reads the input that `_run` checked -------------
 
-def _cmd_nonkostant(args) -> int:
-    g = _group(args)
-    S = _parse_singular(args.singular)
-    t = _table(g, args)
-    bad = nonkostant_block(g, S, t)
-    if args.format == "json":
+def _nonkostant(a) -> None:
+    bad = nonkostant_block(a.g, a.S, a.t)
+    if a.format == "json":
         bad_indices = {w.index for w in bad}
         _emit_json({
-            "cartan": g.cartan.family,
-            "rank": g.rank,
-            "singular": sorted(S),
+            "cartan": a.g.cartan.family,
+            "rank": a.g.rank,
+            "singular": sorted(a.S),
             "results": [
-                {"w": list(g._words[wi]), "kostant": wi not in bad_indices}
-                for wi in make_block(g, S)._maxrep_indices
+                {"w": list(a.g._words[wi]), "kostant": wi not in bad_indices}
+                for wi in a.b._maxrep_indices
             ],
         })
     else:
         for w in bad:
             print(f"({_word_str(w)})")
-    return 0
 
 
-def _cmd_blocks(args) -> int:
-    g = _group(args)
-    S = _parse_singular(args.singular)
-    b = make_block(g, S)
-    if args.format == "json":
+def _blocks(a) -> None:
+    g, b = a.g, a.b
+    if a.format == "json":
         _emit_json({
             "cartan": g.cartan.family,
             "rank": g.rank,
-            "singular": sorted(S),
+            "singular": sorted(a.S),
             "parabolic_order": len(b.W_lambda),
             "cosets": len(b.min_reps),
             "min_reps": [list(w.reduced_word()) for w in b.min_reps],
             "max_reps": [list(w.reduced_word()) for w in b.max_reps],
         })
     else:
-        print(f"type {g.cartan}, singular {sorted(S)}")
+        print(f"type {g.cartan}, singular {sorted(a.S)}")
         print(f"|W| = {g.order}, |W_lambda| = {len(b.W_lambda)}, "
               f"cosets = {len(b.min_reps)}")
         print("min_reps: " + " ".join(_word_str(w) for w in b.min_reps))
         print("max_reps: " + " ".join(_word_str(w) for w in b.max_reps))
-    return 0
 
 
-def _cmd_klpoly(args) -> int:
-    g = _group(args)
-    t = _table(g, args)
-    y = _parse_word(g, args.y)
-    w = _parse_word(g, args.w)
-    p = t.polynomial(y, w)
-    if args.format == "json":
-        _emit_json({"y": list(y.reduced_word()), "w": list(w.reduced_word()),
-                    "coeffs": list(p)})
-    else:
-        print(p)
-    return 0
-
-
-def _cmd_klv(args) -> int:
-    g = _group(args)
-    S = _parse_singular(args.singular)
-    b = make_block(g, S)
-    t = _table(g, args)
-    w = _parse_word(g, args.w)
-    x = _parse_word(g, args.x)
-    p = klv_dominant(t, b, w, x)
-    if args.format == "json":
-        _emit_json({"w": list(w.reduced_word()), "x": list(x.reduced_word()),
-                    "singular": sorted(S), "coeffs": list(p)})
-    else:
-        print(p)
-    return 0
-
-
-def _cmd_mobius(args) -> int:
-    g = _group(args)
-    S = _parse_singular(args.singular)
-    b = make_block(g, S)
-    w = _parse_word(g, args.w)
-    x = _parse_word(g, args.x)
-    m = mobius_lambda(w, x, b)
-    if args.format == "json":
-        _emit_json({"w": list(w.reduced_word()), "x": list(x.reduced_word()),
-                    "singular": sorted(S), "mobius": m})
-    else:
-        print(m)
-    return 0
-
-
-def _cmd_complex(args) -> int:
-    g = _group(args)
-    S = _parse_singular(args.singular)
-    b = make_block(g, S)
-    w = _parse_word(g, args.w)
-    if args.stage == "regular":
-        sk = regular_skeleton(g, w)
-        if args.signs:
+def _complex(a) -> None:
+    if a.stage == "regular":
+        sk = regular_skeleton(a.g, a.w)
+        if a.signs:
             sk = assign_signs(sk)
-    elif args.stage == "translated":
-        sk = translate_skeleton(regular_skeleton(g, w), b)
+    elif a.stage == "translated":
+        sk = translate_skeleton(regular_skeleton(a.g, a.w), a.b)
     else:
-        sk = singular_skeleton(w, b)
-    if args.format == "dot":
+        sk = singular_skeleton(a.w, a.b)
+    if a.format == "dot":
         print(emit_dot(sk))
-    elif args.format == "json":
-        _emit_json(_skeleton_payload(g, S, sk))
+    elif a.format == "json":
+        _emit_json(_skeleton_payload(a.g, a.S, sk))
     else:
         for v, i in sk.vertices:
             print(f"{i}: ({_word_str(v)})")
@@ -255,37 +190,69 @@ def _cmd_complex(args) -> int:
             mark = "=" if e.kind == "equality" else "->"
             tag = f" [{e.sign:+d}]" if e.sign is not None else ""
             print(f"({_word_str(e.source)}) {mark} ({_word_str(e.target)}){tag}")
-    return 0
 
 
-def _cmd_kostant(args) -> int:
-    g = _group(args)
-    S = _parse_singular(args.singular)
-    b = make_block(g, S)
-    t = _table(g, args)
-    w = _parse_word(g, args.w)
-    ok = is_kostant(w, b, t)
-    if args.format == "json":
-        _emit_json({"w": list(w.reduced_word()), "singular": sorted(S),
-                    "kostant": ok})
-    else:
-        print("true" if ok else "false")
-    return 0
+def _value(key: str, compute, text=str):
+    """Handler of a query that answers one value.  Its JSON holds the words
+    in argument order, the singularity set if the query takes one, then
+    the value under key."""
+    def answer(a) -> None:
+        v = compute(a)
+        if a.format == "json":
+            payload = {name: list(getattr(a, name).reduced_word())
+                       for name in _COMMANDS[a.subcommand].words}
+            if a.S is not None:
+                payload["singular"] = sorted(a.S)
+            payload[key] = v
+            _emit_json(payload)
+        else:
+            print(text(v))
+    return answer
 
 
-def _cmd_scat(args) -> int:
-    g = _group(args)
-    S = _parse_singular(args.singular)
-    b = make_block(g, S)
-    t = _table(g, args)
-    w = _parse_word(g, args.w)
-    ok = s_category_has_bgg(w, b, t)
-    if args.format == "json":
-        _emit_json({"w": list(w.reduced_word()), "singular": sorted(S),
-                    "has_bgg": ok})
-    else:
-        print("true" if ok else "false")
-    return 0
+def _bool_text(v: bool) -> str:
+    return "true" if v else "false"
+
+
+_Command = namedtuple("_Command", "help singular words reads_table handler")
+
+_COMMANDS = {
+    "nonkostant": _Command("list non-Kostant elements of a block", True, (), True,
+                           _nonkostant),
+    "blocks": _Command("show block and coset data", True, (), False, _blocks),
+    "klpoly": _Command("Kazhdan-Lusztig polynomial P_{y,w}", False, ("y", "w"), True,
+                       _value("coeffs", lambda a: a.t.polynomial(a.y, a.w))),
+    "klv": _Command("dominant-side singular polynomial for (w, x)", True, ("w", "x"),
+                    True, _value("coeffs", lambda a: klv_dominant(a.t, a.b, a.w, a.x))),
+    "mobius": _Command("block Möbius value for (w, x)", True, ("w", "x"), False,
+                       _value("mobius", lambda a: mobius_lambda(a.w, a.x, a.b))),
+    "complex": _Command("export a complex skeleton", True, ("w",), False, _complex),
+    "kostant": _Command("decide exactness for w in a block", True, ("w",), True,
+                        _value("kostant", lambda a: is_kostant(a.w, a.b, a.t),
+                               _bool_text)),
+    "scat": _Command("quotient-category BGG resolution test", True, ("w",), True,
+                     _value("has_bgg", lambda a: s_category_has_bgg(a.w, a.b, a.t),
+                            _bool_text)),
+}
+
+
+def _run(a) -> None:
+    """Check all input, then answer.  The order is fixed: `--signs` against
+    the stage, the group (its budget before it is built), the block, every
+    word, and last the KL table if the subcommand reads one.  The parsed
+    values replace the strings on `a`."""
+    cmd = _COMMANDS[a.subcommand]
+    if getattr(a, "signs", False) and a.stage != "regular":
+        raise InputError("--signs applies to the regular stage only")
+    cartan = CartanType(a.type.upper(), a.rank)
+    check_budget(cartan)
+    a.g = build_group(cartan)
+    a.S = _parse_singular(a.singular) if cmd.singular else None
+    a.b = make_block(a.g, a.S) if cmd.singular else None
+    for name in cmd.words:
+        setattr(a, name, _parse_word(a.g, getattr(a, name)))
+    a.t = _table(a.g, a.cache) if cmd.reads_table else None
+    cmd.handler(a)
 
 
 # -- parser ---------------------------------------------------------------------
@@ -303,57 +270,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics of singular BGG complexes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, singular=True, words=(), stage=False):
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--type", "-t", required=True,
                        help="Cartan family letter (A, B, C, D, E, F, G)")
         p.add_argument("--rank", "-r", type=int, required=True)
-        if singular:
+        if cmd.singular:
             p.add_argument("--singular", "-s", default="",
                            help="singular simple-root indices, e.g. '2,3'")
-        for name in words:
-            p.add_argument(f"--{name}", required=True,
-                           help=f"word for {name}, e.g. '3,2,3,2' or '3232'")
+        for word in cmd.words:
+            p.add_argument(f"--{word}", required=True,
+                           help=f"word for {word}, e.g. '3,2,3,2' or '3232'")
         p.add_argument("--format", "-f", default="text",
-                       choices=["text", "json"] + (["dot"] if stage else []))
+                       choices=["text", "json"] + (["dot"] if name == "complex" else []))
         p.add_argument("--cache", help="path to a polynomial table cache file")
-
-    p = sub.add_parser("nonkostant", help="list non-Kostant elements of a block")
-    common(p)
-    p.set_defaults(func=_cmd_nonkostant)
-
-    p = sub.add_parser("blocks", help="show block and coset data")
-    common(p)
-    p.set_defaults(func=_cmd_blocks)
-
-    p = sub.add_parser("klpoly", help="Kazhdan-Lusztig polynomial P_{y,w}")
-    common(p, singular=False, words=("y", "w"))
-    p.set_defaults(func=_cmd_klpoly)
-
-    p = sub.add_parser("klv", help="dominant-side singular polynomial for (w, x)")
-    common(p, words=("w", "x"))
-    p.set_defaults(func=_cmd_klv)
-
-    p = sub.add_parser("mobius", help="block Möbius value for (w, x)")
-    common(p, words=("w", "x"))
-    p.set_defaults(func=_cmd_mobius)
-
-    p = sub.add_parser("complex", help="export a complex skeleton")
-    common(p, words=("w",), stage=True)
-    p.add_argument("--stage", default="singular",
-                   choices=["regular", "translated", "singular"])
-    p.add_argument("--signs", action="store_true",
-                   help="assign signs (regular stage only)")
-    p.set_defaults(func=_cmd_complex)
-
-    p = sub.add_parser("kostant", help="decide exactness for w in a block")
-    common(p, words=("w",))
-    p.set_defaults(func=_cmd_kostant)
-
-    p = sub.add_parser("scat", help="quotient-category BGG resolution test")
-    common(p, words=("w",))
-    p.set_defaults(func=_cmd_scat)
-
+        if name == "complex":
+            p.add_argument("--stage", default="singular",
+                           choices=["regular", "translated", "singular"])
+            p.add_argument("--signs", action="store_true",
+                           help="assign signs (regular stage only)")
     return parser
 
 
@@ -361,9 +296,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)  # --help and usage errors exit here
-        code = args.func(args)
+        _run(args)
         sys.stdout.flush()
-        return code
+        return 0
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

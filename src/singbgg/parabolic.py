@@ -157,16 +157,9 @@ def make_block(g: WeylGroup, S) -> SingularBlock:
 def kostant_decompose(v: Element, b: SingularBlock) -> tuple[Element, Element]:
     """Unique factorization v = v^lambda * v_lambda with additive lengths."""
     check_same_group(b.group, v)
-    g = b.group
-    u = v
-    tail = g.identity
-    while True:
-        rd = u.right_descents() & b.S
-        if not rd:
-            return u, tail
-        s = g.generator(min(rd))
-        u = u * s
-        tail = s * tail
+    vi, el = v.index, b.group.element_by_index
+    u = b._wlambda_indices[b._coset_indices(vi).index(vi)]
+    return el(b._coset_of[vi]), el(u)
 
 
 def coset_extremum(

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from singbgg import CartanType, weyl
+from singbgg import CartanType, cli, weyl
 from singbgg.cli import main
 from singbgg.errors import BudgetError
 
@@ -288,3 +288,74 @@ def test_help_to_full_device_exit_2(argv, unbuffered, monkeypatch):
         proc = _bgg(*argv, stdout=full, stderr=subprocess.PIPE)
         _, err = proc.communicate(timeout=60)
     _assert_write_failure_reported(proc.returncode, err.decode())
+
+
+# -- all input is checked before the KL table is built or loaded ------------------
+
+BAD_INPUT = [
+    ("nonkostant", "-s", "9"),
+    ("klv", "-s", "9", "--w", "2", "--x", "2"),
+    ("kostant", "-s", "9", "--w", "2"),
+    ("scat", "-s", "9", "--w", "2"),
+    ("klpoly", "--y", "xyz", "--w", "12"),
+    ("klpoly", "--y", "1", "--w", "9"),
+    ("klv", "-s", "2", "--w", "2x", "--x", "2"),
+    ("klv", "-s", "2", "--w", "2", "--x", "9"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_never_reaches_the_table(argv, tmp_path, capsys, monkeypatch):
+    def no_table(*_):
+        raise AssertionError("KL table requested before the input was checked")
+    monkeypatch.setattr(cli, "kl_table", no_table)
+    monkeypatch.setattr(cli, "load_table", no_table)
+    cache = tmp_path / "p.klv"
+    code, out, err = run(capsys, argv[0], "-t", "A", "-r", "3", *argv[1:],
+                         "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT[:1] + BAD_INPUT[4:5], ids=" ".join)
+def test_bad_input_leaves_no_cache_file_in_a_fresh_process(argv, tmp_path):
+    cache = tmp_path / "p.klv"
+    proc = _bgg(argv[0], "-t", "F", "-r", "4", *argv[1:], "--cache", str(cache),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1
+    assert not cache.exists()
+
+
+def test_word_error_reported_before_a_bad_cache(tmp_path, capsys):
+    cache = tmp_path / "a3.klv"
+    cache.write_bytes(b"KLV3garbage")
+    code, out, err = run(capsys, "klpoly", "-t", "A", "-r", "3", "--y", "xyz",
+                         "--w", "12", "--cache", str(cache))
+    assert (code, out, err) == (2, "", "error: cannot parse word 'xyz'\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("blocks", "-s", "2"), "type A3, singular [2]"),
+    (("mobius", "-s", "2", "--w", "2", "--x", "12"), "-1"),
+    (("complex", "-s", "2", "--w", "12"), "0: (12)"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_commands_without_a_table_ignore_a_corrupt_cache(argv, expected, tmp_path,
+                                                         capsys):
+    cache = tmp_path / "a3.klv"
+    cache.write_bytes(b"KLV3garbage")
+    code, out, err = run(capsys, argv[0], "-t", "A", "-r", "3", *argv[1:],
+                         "--cache", str(cache))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == expected
+    assert cache.read_bytes() == b"KLV3garbage"
+
+
+@pytest.mark.parametrize("stage", ["translated", "singular"])
+def test_signs_outside_the_regular_stage_exit_2(stage, capsys):
+    code, out, err = run(capsys, "complex", "-t", "A", "-r", "3", "-s", "2",
+                         "--w", "12", "--stage", stage, "--signs")
+    assert (code, out) == (2, "")
+    assert err == "error: --signs applies to the regular stage only\n"
