@@ -5,15 +5,29 @@ its runtime bound.  A [PASS]/[FAIL] line per criterion is printed (visible
 with -v as the test outcome, and in captured output on failure).
 """
 
+import json
+import pathlib
 import time
 
 import properties
+import table_digests
 from golden_tables import TABLES
-from helpers import RANK_LE_3, all_singularities, get_group, get_table
+from helpers import (
+    RANK_LE_3,
+    all_singularities,
+    decoded_polys,
+    get_group,
+    get_table,
+    rationally_smooth,
+    tuple_kl_polys,
+)
 from singbgg import (
+    CartanType,
     IntPolynomial,
+    build_group,
     interval,
     is_kostant,
+    kl_table,
     leq,
     make_block,
     nonkostant_block,
@@ -21,6 +35,8 @@ from singbgg import (
     singular_skeleton,
     support_X,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 _A3_AUTOS = [{1: 3, 2: 2, 3: 1}]
 _A4_AUTOS = [{1: 4, 2: 3, 3: 2, 4: 1}]
@@ -191,3 +207,33 @@ def test_criterion_10_quotient_category_reduction():
             w0 = gg.longest_element()
             for S in all_singularities(rank):
                 assert s_category_has_bgg(w0, make_block(gg, S), tt)
+
+
+# Diagram automorphisms: i -> 6 - i on A5, 4 <-> 5 on D5.
+_RANK_5_AUTOS = {"A5": {1: 5, 2: 4, 3: 3, 4: 2, 5: 1},
+                 "D5": {1: 1, 2: 2, 3: 3, 4: 5, 5: 4}}
+
+
+def test_criterion_11_rank_5_frozen():
+    # tests/data/rank5_blocks.json was written by tests/table_digests.py
+    # after these cross-checks passed; it is never re-frozen to pass.
+    frozen = json.loads((DATA / "rank5_blocks.json").read_text())
+    with _Criterion(11, "A5 and D5 classifications, cross-checked and frozen", 60.0):
+        for name, sigma in _RANK_5_AUTOS.items():
+            g = build_group(CartanType(name[0], 5), budget=1920)  # D5 has 1920 elements
+            t = kl_table(g)
+            assert decoded_polys(t) == tuple_kl_polys(g), name
+            bad = table_digests.classify(g, t)
+            # the set for sigma(S) is sigma applied to the set for S
+            for S, ws in bad.items():
+                image = {g.from_word([sigma[c] for c in w.reduced_word()]) for w in ws}
+                assert image == set(bad[tuple(sorted(sigma[i] for i in S))]), (name, S)
+            # one longest representative per coset of W_S
+            for S in bad:
+                order_s = sum(1 for w in g.elements() if set(w.reduced_word()) <= set(S))
+                assert len(make_block(g, S).max_reps) * order_s == g.order, (name, S)
+            # S = {}: Kostant iff the Schubert variety of w w0 is rationally smooth
+            rw0 = g.rmul_w0_indices()
+            assert [w.index for w in bad[()]] == [
+                wi for wi in range(g.order) if not rationally_smooth(g, rw0[wi])]
+            assert table_digests.block_digests(g, bad) == frozen[name], name
