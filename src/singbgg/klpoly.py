@@ -5,17 +5,21 @@ recursion, run only on extremal pairs (du Cloux, "Computing Kazhdan-Lusztig
 polynomials for arbitrary Coxeter groups", Experiment. Math. 11, 2002).  Let
 I = D_L(w) and J = D_R(w).  P_{y,w} = P_{sy,w} for s in I and
 P_{y,w} = P_{yt,w} for t in J, so P_{y,w} only depends on the double coset
-W_I y W_J and equals P_{m,w} for its maximum m.  Column w runs the recursion
-on the y <= w that are such a maximum, those with I in D_L(y) and J in
-D_R(y), and every other y copies its m.  m is reached in two climbs: first
-to the longest element of y W_J, then to the longest element of W_I times
-that.  Let x have every t in J as a right descent and s x > x.  Deodhar's
-lemma says that s x has them too or s x = x t for some t in J; the second
-is ruled out by x t < x < s x.  So the left climb keeps the right descents
-and ends at an element maximal on both sides, which is m.  Every step of a
-climb stays below w by the lifting property, as w is maximal in its own
-double coset.  F4 has 23,920 extremal pairs among its 396,809 comparable
-pairs.
+W_I y W_J and equals P_{m,w} for its maximum m.  m is reached in two climbs:
+first to the longest element of y W_J, then to the longest element of W_I
+times that.  Let x have every t in J as a right descent and s x > x.
+Deodhar's lemma says that s x has them too or s x = x t for some t in J; the
+second is ruled out by x t < x < s x.  So the left climb keeps the right
+descents and ends at an element maximal on both sides, which is m.  Every
+step of a climb stays below w by the lifting property, as w is maximal in
+its own double coset.
+
+Column w is one pass over the y <= w from the top index down: y = m runs
+the recursion, any other y copies the entry at m, final already as m has the
+larger index.  F4 has 23,920 extremal pairs among its 396,809 comparable
+pairs.  w's row of nonzero mu(z, w), read by the recursion of later columns,
+starts as its lower covers (P = 1, mu = 1); the recursion adds the stored
+entries of top degree.  A copy is never one, as l(m) > l(y).
 
 Inside the table every polynomial is one Python int, its value at
 q = 2**_WIDTH (Kronecker substitution).  This is an exact ring map from Z[q]
@@ -54,7 +58,7 @@ import zlib
 from array import array
 from itertools import accumulate
 
-from .bruhat import down_masks, iter_indices, leq
+from .bruhat import cover_graph, down_masks, iter_indices, leq
 from .errors import DomainError, InputError
 from .parabolic import SingularBlock, _mask
 from .weyl import Element, WeylGroup, check_same_group
@@ -190,15 +194,13 @@ class KLTable:
         lmul, rmul = g._lmul, g._rmul
         n = g.order
         gens = range(g.rank)
-        # desc[s] (desc_r[s]) has bit i set iff s is a left (right) descent of w_i
-        desc = [_mask(i for i in range(n) if row[i] < i) for row in lmul]
-        desc_r = [_mask(i for i in range(n) if row[i] < i) for row in rmul]
         # climbs to the longest element of W_I y (of y W_J), by descent set
         ident = list(range(n))
         left_climbs: dict[int, list[int]] = {}
         right_climbs: dict[int, list[int]] = {}
         cols: list[dict[int, int]] = [{} for _ in range(n)]
-        mu_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # mu_rows[w]: the (z, mu(z, w)) with mu != 0, the covers first
+        mu_rows = [[(zi, 1) for zi in low] for low in cover_graph(g).lower]
         # distinct stored value -> (the shared int, degree, leading coefficient)
         seen: dict[int, tuple[int, int, int]] = {}
         pool: dict[int, Coeffs] = {}
@@ -208,57 +210,51 @@ class KLTable:
             lw = lengths[wi]
             s = words[wi][0] - 1  # smallest left descent of w
             sl = lmul[s]
-            ds = desc[s]
             vi = sl[wi]
             col_v = cols[vi]
             down_v = down[vi]
             # mu(z, v) q^((l(w) - l(z)) / 2) for the z < v with s z < z
             zmu = []
             mu_sum = 0
-            for zi, m in mu_rows[vi]:
-                if ds >> zi & 1:
-                    zmu.append((down[zi], cols[zi], m << width * ((lw - lengths[zi]) // 2)))
-                    mu_sum += m
+            for zi, mu in mu_rows[vi]:
+                if sl[zi] < zi:
+                    zmu.append((down[zi], cols[zi], mu << width * ((lw - lengths[zi]) // 2)))
+                    mu_sum += mu
             _check_width((2 + mu_sum) * cmax)
-            dmask = down[wi]
-            # I = D_L(w), J = D_R(w); the recursion runs on the extremal
-            # y <= w, those with I in D_L(y) and J in D_R(y) (s is in I)
+            # cl[cr[y]] is the maximum m of W_I y W_J for I = D_L(w) and
+            # J = D_R(w), extremal and below w (see the module docstring)
             left = right = 0
-            ext = dmask
             for t in gens:
                 if lmul[t][wi] < wi:
                     left |= 1 << t
-                    ext &= desc[t]
                 if rmul[t][wi] < wi:
                     right |= 1 << t
-                    ext &= desc_r[t]
-            results: dict[int, int] = {}
-            for yi in iter_indices(ext):
-                p = col_v.get(sl[yi], 1)  # s y <= v by the lifting property
-                if down_v >> yi & 1:
-                    p += col_v.get(yi, 1) << width
-                for down_z, col_z, mq in zmu:
-                    if down_z >> yi & 1:
-                        p -= mq * col_z.get(yi, 1)
-                results[yi] = p
-            # every other y copies P_{m,w} for m the maximum of W_I y W_J,
-            # extremal and below w; m = cl[cr[y]] by Deodhar's lemma (see the
-            # module docstring)
             cl = left_climbs.get(left)
             if cl is None:
                 cl = left_climbs[left] = _climb(lmul, left, ident)
             cr = right_climbs.get(right)
             if cr is None:
                 cr = right_climbs[right] = _climb(rmul, right, ident)
-            for yi in iter_indices(dmask & ~ext):
-                results[yi] = results[cl[cr[yi]]]
             col = cols[wi]
             row_mu = mu_rows[wi]
-            for yi, p in results.items():
-                d = lw - lengths[yi]
+            # top-down, so m > y is final when y copies it
+            for yi in reversed([*iter_indices(down[wi])]):
+                m = cl[cr[yi]]
+                if m != yi:
+                    # P_{y,w} = P_{m,w}; l(m) > l(y), so never of top degree
+                    p = col.get(m)
+                    if p is not None:
+                        if 2 * seen[p][1] >= lw - lengths[yi]:
+                            raise AssertionError("KL degree bound violated")
+                        col[yi] = p
+                    continue
+                p = col_v.get(sl[yi], 1)  # s y <= v by the lifting property
+                if down_v >> yi & 1:
+                    p += col_v.get(yi, 1) << width
+                for down_z, col_z, mq in zmu:
+                    if down_z >> yi & 1:
+                        p -= mq * col_z.get(yi, 1)
                 if p == 1:
-                    if d == 1:
-                        row_mu.append((yi, 1))
                     continue
                 e = seen.get(p)
                 if e is None:
@@ -269,7 +265,8 @@ class KLTable:
                     pool[p] = coeffs
                     cmax = max(cmax, max(map(abs, coeffs)))
                 p, deg, lead = e
-                if 2 * deg > d - 1:
+                d = lw - lengths[yi]
+                if 2 * deg >= d:
                     raise AssertionError("KL degree bound violated")
                 col[yi] = p
                 if 2 * deg == d - 1:

@@ -68,6 +68,36 @@ def rationally_smooth(g, vi):
     return ranks == ranks[::-1]
 
 
+def avoids_3412_4231(word, rank):
+    """Whether w w0 avoids the patterns 3412 and 4231, for w in type A_rank
+    given by a reduced word.  By Lakshmibai-Sandhya that holds iff the
+    Schubert variety of w w0 is smooth, and in type A smooth and rationally
+    smooth agree.  Reads only the word, so it is independent of the group
+    tables, of the Bruhat order and of the KL table.
+
+    Convention: s_i is the transposition (i, i+1) of {1, ..., rank + 1}, a
+    permutation u is its one-line notation [u(1), ..., u(rank + 1)], and
+    products compose as maps, (u v)(j) = u(v(j)).  So u s_i is u with the
+    entries at positions i and i+1 swapped, w is the identity with the
+    positions of the word's letters swapped in turn, and w w0 is w's
+    one-line notation reversed.  Both patterns are their own inverses and
+    are fixed by conjugation with w0 (reverse, then complement), so reading
+    the word as w^-1, or taking w0 w, gives the same answer.
+
+    V. Lakshmibai and B. Sandhya, "Criterion for smoothness of Schubert
+    varieties in SL(n)/B", Proc. Indian Acad. Sci. (Math. Sci.) 100 (1990).
+    """
+    p = list(range(1, rank + 2))
+    for i in word:
+        p[i - 1], p[i] = p[i], p[i - 1]
+    p.reverse()
+    for values in combinations(p, 4):
+        ranks = tuple(sorted(values).index(v) + 1 for v in values)
+        if ranks in ((3, 4, 1, 2), (4, 2, 3, 1)):
+            return False
+    return True
+
+
 RANK_LE_3 = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3),
              ("C", 3), ("D", 3)]
 

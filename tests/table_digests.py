@@ -24,15 +24,9 @@ import json
 import os
 import sys
 import tempfile
-from itertools import combinations
 
+from helpers import all_singularities
 from singbgg import CartanType, build_group, kl_table, make_block, nonkostant_block, save_table
-
-
-def subsets(rank: int) -> list[tuple[int, ...]]:
-    """Every singular set, by size, then lexicographically."""
-    idx = range(1, rank + 1)
-    return [S for k in range(rank + 1) for S in combinations(idx, k)]
 
 
 def word(e) -> str:
@@ -45,8 +39,8 @@ def digest(words: list[str]) -> str:
 
 
 def classify(g, t) -> dict[tuple[int, ...], list]:
-    """The non-Kostant set of every block of g."""
-    return {S: nonkostant_block(g, S, t) for S in subsets(g.rank)}
+    """The non-Kostant set of every block of g, keyed by the sorted singular set."""
+    return {tuple(sorted(S)): nonkostant_block(g, S, t) for S in all_singularities(g.rank)}
 
 
 def block_digests(g, sets: dict[tuple[int, ...], list]) -> dict[str, dict]:
@@ -67,20 +61,15 @@ def table_sha256(t) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
-def group(name: str, budget: int):
-    return build_group(CartanType(name[0], int(name[1:])), budget=budget)
-
-
 def main(argv: list[str]) -> int:
     as_json = argv[:1] == ["--json"]
     names = argv[1:] if as_json else argv
     if not names:
         print(__doc__, file=sys.stderr)
         return 2
-    budget = 10_000
     out = {}
     for name in names:
-        g = group(name, budget)
+        g = build_group(CartanType(name[0], int(name[1:])), budget=10_000)
         t = kl_table(g)
         blocks = block_digests(g, classify(g, t))
         if as_json:

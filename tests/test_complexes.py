@@ -6,6 +6,7 @@ import properties
 from helpers import (
     RANK_LE_3,
     all_singularities,
+    avoids_3412_4231,
     get_group,
     get_table,
     mobius_oracle,
@@ -430,6 +431,17 @@ def test_regular_block_matches_rational_smoothness(fam, rank, count):
         g, t = get_group(fam, rank), get_table(fam, rank)
     rw0 = g.rmul_w0_indices()
     expect = [wi for wi in range(g.order) if not rationally_smooth(g, rw0[wi])]
+    assert [w.index for w in nonkostant_block(g, set(), t)] == expect
+    assert len(expect) == count
+
+
+@pytest.mark.parametrize("rank,count", [(3, 2), (4, 32), (5, 354)])
+def test_regular_block_matches_pattern_avoidance(rank, count):
+    # In type A the rational smoothness of the Schubert variety of w w0 is
+    # avoidance of 3412 and 4231 by the permutation w w0 (Lakshmibai-Sandhya);
+    # this oracle reads only reduced words.
+    g, t = get_group("A", rank), get_table("A", rank)
+    expect = [w.index for w in g.elements() if not avoids_3412_4231(w.reduced_word(), rank)]
     assert [w.index for w in nonkostant_block(g, set(), t)] == expect
     assert len(expect) == count
 

@@ -3,10 +3,12 @@
 import errno
 import gzip
 import hashlib
+import inspect
 import pathlib
 import random
 import stat
 import struct
+import sys
 import zlib
 
 import pytest
@@ -124,31 +126,57 @@ def test_climbs_reach_the_coset_maximum(fam, rank):
 
 
 def test_extremal_recursion_work_count(monkeypatch):
-    # The build runs the recursion on the extremal y <= w only, those with
-    # D_L(w) in D_L(y) and D_R(w) in D_R(y), and copies every other entry.
-    # F4: 23,919 recursion entries for w > e, 23,920 extremal pairs with
-    # (e, e), against 198,404 when every y with s y < y for one left
-    # descent s of w went through the recursion.
+    # _build walks the y <= w of each column top-down and runs the recursion
+    # only where y = cl[cr[y]], the maximum of W_I y W_J for I = D_L(w) and
+    # J = D_R(w); every other y copies that maximum.  F4: 23,919 recursion
+    # entries for w > e, 23,920 extremal pairs with (e, e), against 198,404
+    # when every y with s y < y for one left descent s of w went through the
+    # recursion.  The runs are counted at the recursion's first line.
     g = get_group("F", 4)
-    masks = []
+    build = klpoly.KLTable._build
+    lines, first = inspect.getsourcelines(build)
+    line = first + next(i for i, text in enumerate(lines) if "p = col_v.get(sl[yi], 1)" in text)
+    runs = 0
 
-    def recorded(mask):
-        masks.append(mask)
-        return iter_indices(mask)
+    def count_line(frame, event, arg):
+        nonlocal runs
+        if event == "line" and frame.f_lineno == line:
+            runs += 1
+        return count_line
 
-    monkeypatch.setattr(klpoly, "iter_indices", recorded)
-    kl_table(g)
-    monkeypatch.undo()
+    def trace_build(frame, event, arg):
+        return count_line if frame.f_code is build.__code__ else None
+
+    climbs = {}
+    climb = klpoly._climb
+
+    def recorded(rows, gens, ident):
+        climbs["left" if rows is g._lmul else "right", gens] = c = climb(rows, gens, ident)
+        return c
+
+    monkeypatch.setattr(klpoly, "_climb", recorded)
+    outer = sys.gettrace()
+    sys.settrace(trace_build)
+    try:
+        kl_table(g)
+    finally:
+        sys.settrace(outer)
     down = down_masks(g)
     left, right = _descent_masks(g._lmul), _descent_masks(g._rmul)
-    # per w > e: the recursion's y, then the copied y
-    assert len(masks) == 2 * (g.order - 1)
-    ext, copied = masks[0::2], masks[1::2]
-    for wi, (e, c) in enumerate(zip(ext, copied), start=1):
-        assert e & c == 0 and e | c == down[wi]
-        assert e == sum(1 << yi for yi in iter_indices(down[wi])
-                        if left[wi] & ~left[yi] == 0 and right[wi] & ~right[yi] == 0)
-    assert sum(map(int.bit_count, ext)) == 23_919
+    ws = range(1, g.order)
+    # one climb per descent set of some w > e, on each side
+    assert set(climbs) == {("left", left[wi]) for wi in ws} | {("right", right[wi]) for wi in ws}
+    extremal = single = 0
+    for wi in ws:
+        cl, cr = climbs["left", left[wi]], climbs["right", right[wi]]
+        ys = list(iter_indices(down[wi]))
+        ext = {yi for yi in ys if cl[cr[yi]] == yi}
+        assert ext == {yi for yi in ys if left[wi] & ~left[yi] == 0 and right[wi] & ~right[yi] == 0}
+        extremal += len(ext)
+        s = g._words[wi][0] - 1
+        single += sum(left[yi] >> s & 1 for yi in ys)
+    assert runs == extremal == 23_919
+    assert single == 198_404
 
 
 def test_pack_round_trip():
