@@ -4,7 +4,9 @@ The cover graph is built once per group from the left multiplication table
 by the lifting property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
 2.2).  Order queries use transitive-closure bitmasks over the element
 indexing, so `leq` and interval extraction are O(1)-ish big-integer
-operations; only `leq` above the element budget recurses on permutations.
+operations.  Every query here needs the enumerated group: above the element
+budget they raise BudgetError.  A set of element indices is a bitmask;
+`index_mask` and `iter_indices` convert between the two.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from itertools import compress
 
 from .errors import DomainError
-from .weyl import Element, WeylGroup, _compose, _invert, _num_inversions, check_same_group
+from .weyl import Element, WeylGroup, check_same_group
 
 
 class CoverGraph:
@@ -76,31 +78,7 @@ def leq(u: Element, v: Element) -> bool:
     """True iff u <= v in Bruhat order."""
     g = u.group
     check_same_group(g, v)
-    if g.enumerated:
-        return bool(down_masks(g)[v.index] >> u.index & 1)
-    return _leq_recursive(g, u.perm, v.perm)
-
-
-def _leq_recursive(g: WeylGroup, pu, pv) -> bool:
-    """Descent recursion: leq(u, v) = leq(min(u, su), sv) for a descent s of v."""
-    lv = _num_inversions(pv)
-    lu = _num_inversions(pu)
-    while True:
-        if lu > lv:
-            return False
-        if lv == 0:
-            return lu == 0
-        if pu == pv:
-            return True
-        inv_v = _invert(pv)
-        s = next(i for i in range(g.rank) if inv_v[i] < 0)
-        gp = g.generator_perms[s]
-        pv = _compose(gp, pv)
-        lv -= 1
-        su = _compose(gp, pu)
-        lsu = _num_inversions(su)
-        if lsu < lu:
-            pu, lu = su, lsu
+    return bool(down_masks(g)[v.index] >> u.index & 1)
 
 
 def upper_covers(w: Element) -> list[Element]:
@@ -122,6 +100,14 @@ def interval(u: Element, v: Element) -> list[Element]:
         raise DomainError(f"empty interval: {u!r} is not below {v!r}")
     mask = up_masks(g)[u.index] & down_masks(g)[v.index]
     return [g.element_by_index(i) for i in iter_indices(mask)]
+
+
+def index_mask(indices) -> int:
+    """The bitmask with the given index bits set; inverse of iter_indices."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")

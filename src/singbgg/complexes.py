@@ -269,10 +269,16 @@ def dominant_support(b: SingularBlock) -> set[Element]:
     parabolic subgroup times the longest singular element."""
     g = b.group
     comp = make_block(g, complementary_singularity(b))
-    out = {u * b.w0_lambda for u in comp.W_lambda}
-    if out != set(support_X(b.w0_lambda, b).flatten()):
+    w0i = b._w0_lambda_idx
+    rows = [g._rmul[s - 1] for s in g._words[w0i]]
+    out = set()
+    for u in comp._wlambda_indices:
+        for row in rows:
+            u = row[u]
+        out.add(u)
+    if out != {xi for xi, nonzero in _mobius_row(b, w0i) if nonzero}:
         raise AssertionError("closed-form support disagrees with the Möbius support")
-    return out
+    return {g.element_by_index(i) for i in out}
 
 
 def s_category_has_bgg(w: Element, b: SingularBlock, t: KLTable) -> bool:

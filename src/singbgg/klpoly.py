@@ -58,9 +58,9 @@ import zlib
 from array import array
 from itertools import accumulate
 
-from .bruhat import cover_graph, down_masks, iter_indices, leq
+from .bruhat import cover_graph, down_masks, index_mask, iter_indices, leq
 from .errors import DomainError, InputError
-from .parabolic import SingularBlock, _mask
+from .parabolic import SingularBlock
 from .weyl import Element, WeylGroup, check_same_group
 
 Coeffs = tuple[int, ...]
@@ -439,7 +439,7 @@ def save_table(t: KLTable, path) -> None:
     masks, ks = bytearray(), []
     for col in t._columns():
         ys = sorted(col)
-        masks += _mask(ys).to_bytes(nbytes, "little")
+        masks += index_mask(ys).to_bytes(nbytes, "little")
         ks.extend(pool.setdefault(col[yi], len(pool)) for yi in ys)
     payload = bytearray(struct.pack("<II", len(pool), len(ks)))
     for v in pool:

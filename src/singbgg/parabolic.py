@@ -1,12 +1,12 @@
 """Singularity data: parabolic subgroups and coset representatives.
 
 A singularity set S of simple-root indices generates the parabolic subgroup
-W_lambda.  The block object carries the minimal coset representatives
-(no reduced expression ends in a singular reflection), the longest ones
-(minimal representatives times the longest element of W_lambda), and the
-right-coset analogues obtained by inversion.  It also keeps two O(|W|)
-index tables for the exactness scan: the coset of every element and the
-dominant-side terms of every longest representative.
+W_lambda.  The block object carries left cosets only: the minimal
+representatives (no reduced expression ends in a singular reflection) and
+the longest ones (minimal representatives times the longest element of
+W_lambda); right cosets are their inverses, through the inversion table.
+It also keeps two O(|W|) index tables for the exactness scan: the coset of
+every element and the dominant-side terms of every longest representative.
 
 The coset helpers and matchings work on element indices and Bruhat-order
 bitmasks, and make Elements only for the results they return.  Their one
@@ -16,17 +16,10 @@ minimal representative m along the right multiplication table.
 
 from __future__ import annotations
 
-from .bruhat import down_masks, leq, up_masks
+from .bruhat import down_masks, index_mask, leq, up_masks
 from .cartan import CartanType
 from .errors import DomainError, InputError
 from .weyl import Element, WeylGroup, check_same_group
-
-
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 class SingularBlock:
@@ -56,12 +49,12 @@ class SingularBlock:
         self._wlambda_indices = cosets[0]
         self._w0_lambda_idx = cosets[0][-1]
         self._minrep_indices = sorted(cosets)
-        self._minrep_mask = _mask(self._minrep_indices)
+        self._minrep_mask = index_mask(self._minrep_indices)
 
         # The longest element of a coset has the largest index in it.
         l0 = lengths[self._w0_lambda_idx]
         self._maxrep_indices = sorted(cosets[m][-1] for m in self._minrep_indices)
-        self._maxrep_mask = _mask(self._maxrep_indices)
+        self._maxrep_mask = index_mask(self._maxrep_indices)
 
         # Dominant-side terms of each longest representative x: the singular
         # polynomial for (w, x) is the sum over z in x W_lambda of
@@ -80,9 +73,6 @@ class SingularBlock:
             self._dominant_terms[xi] = tuple(
                 (rw0[z], -1 if (lx - lengths[z]) % 2 else 1) for z in members
             )
-
-        self._right_min_indices = sorted(g._inv[i] for i in self._minrep_indices)
-        self._right_max_indices = sorted(g._inv[i] for i in self._maxrep_indices)
 
     # -- element views (sorted by (length, ShortLex word) = index order) ------
 
@@ -103,16 +93,6 @@ class SingularBlock:
     def max_reps(self) -> list[Element]:
         """The longest coset representatives (min_reps times w0_lambda)."""
         return [self.group.element_by_index(i) for i in self._maxrep_indices]
-
-    @property
-    def right_min_reps(self) -> list[Element]:
-        """Minimal representatives of the right cosets W_lambda \\ W."""
-        return [self.group.element_by_index(i) for i in self._right_min_indices]
-
-    @property
-    def right_max_reps(self) -> list[Element]:
-        """Longest representatives of the right cosets W_lambda \\ W."""
-        return [self.group.element_by_index(i) for i in self._right_max_indices]
 
     def contains_max_rep(self, w: Element) -> bool:
         return bool(self._maxrep_mask >> w.index & 1)
@@ -184,7 +164,7 @@ def coset_extremum(
     else:
         raise InputError(f"unknown direction {direction!r}")
     members = [z for z in b._coset_indices(x.index) if cone >> z & 1]
-    mask = _mask(members)
+    mask = index_mask(members)
     extrema = [z for z in members if beyond[z] & mask == 1 << z]
     if len(extrema) != 1:
         raise AssertionError(
@@ -208,7 +188,7 @@ def _intersection_pairs(xi: int, up_w: int, b: SingularBlock) -> list[tuple[int,
     # W_lambda component t -> element m t of the intersection
     by_component = {t: z for t, z in zip(b._wlambda_indices, b._coset_indices(xi))
                     if up_w >> z & 1}
-    mask = _mask(by_component.values())
+    mask = index_mask(by_component.values())
     down = down_masks(g)
     minima = [t for t, z in by_component.items() if down[z] & mask == 1 << z]
     if len(minima) != 1:

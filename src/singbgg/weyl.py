@@ -320,17 +320,6 @@ class Element:
     def inverse(self) -> "Element":
         return Element(self.group, _invert(self.perm))
 
-    def left_descents(self) -> set[int]:
-        """{ s : l(s w) < l(w) }, read off from the signs of w^{-1} on simples."""
-        inv = _invert(self.perm)
-        return {i + 1 for i in range(self.group.rank) if inv[i] < 0}
-
-    def right_descents(self) -> set[int]:
-        return {i + 1 for i in range(self.group.rank) if self.perm[i] < 0}
-
-    def is_identity(self) -> bool:
-        return self.perm == self.group.identity_perm
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)

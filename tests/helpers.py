@@ -6,22 +6,20 @@ from singbgg import CartanType, build_group, kl_table, klpoly
 from singbgg.bruhat import down_masks, iter_indices
 from singbgg.weyl import _compose, _invert, _num_inversions
 
-_GROUPS = {}
 _TABLES = {}
 
 
-def get_group(fam, rank):
-    key = (fam, rank)
-    if key not in _GROUPS:
-        _GROUPS[key] = build_group(CartanType(fam, rank))
-    return _GROUPS[key]
+def get_group(fam, rank, budget=None):
+    """The group, shared through build_group's cache; `budget` as there."""
+    return build_group(CartanType(fam, rank), budget)
 
 
-def get_table(fam, rank):
-    key = (fam, rank)
-    if key not in _TABLES:
-        _TABLES[key] = kl_table(get_group(fam, rank))
-    return _TABLES[key]
+def get_table(fam, rank, budget=None):
+    """The KL table of get_group(fam, rank, budget), built once per group."""
+    g = get_group(fam, rank, budget)
+    if g not in _TABLES:
+        _TABLES[g] = kl_table(g)
+    return _TABLES[g]
 
 
 def all_singularities(rank):

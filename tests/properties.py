@@ -7,6 +7,7 @@ from the module test files and re-run in bulk by the acceptance suite.
 from helpers import mobius_oracle
 from singbgg import (
     assign_signs,
+    complementary_singularity,
     coset_extremum,
     cut_equalities,
     dominant_support,
@@ -209,7 +210,13 @@ def check_sign_squares(g, w):
 
 
 def check_dominant_support(g, S):
-    dominant_support(make_block(g, S))  # asserts internally
+    """The index walk equals the element products of the closed form and the
+    Möbius support of w0_lambda (which it also asserts internally)."""
+    b = make_block(g, S)
+    comp = make_block(g, complementary_singularity(b))
+    out = dominant_support(b)
+    assert out == {u * b.w0_lambda for u in comp.W_lambda}
+    assert out == set(support_X(b.w0_lambda, b).flatten())
 
 
 def check_dynkin_symmetry(g, t):

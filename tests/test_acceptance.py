@@ -21,12 +21,9 @@ from helpers import (
     tuple_kl_polys,
 )
 from singbgg import (
-    CartanType,
     IntPolynomial,
-    build_group,
     interval,
     is_kostant,
-    kl_table,
     leq,
     make_block,
     nonkostant_block,
@@ -220,8 +217,9 @@ def test_criterion_11_rank_5_frozen():
     frozen = json.loads((DATA / "rank5_blocks.json").read_text())
     with _Criterion(11, "A5 and D5 classifications, cross-checked and frozen", 60.0):
         for name, sigma in _RANK_5_AUTOS.items():
-            g = build_group(CartanType(name[0], 5), budget=1920)  # D5 has 1920 elements
-            t = kl_table(g)
+            # shared with test_complexes.py; D5's 1920 elements are above the default budget
+            budget = 1920 if name == "D5" else None
+            g, t = get_group(name[0], 5, budget), get_table(name[0], 5, budget)
             assert decoded_polys(t) == tuple_kl_polys(g), name
             bad = table_digests.classify(g, t)
             # the set for sigma(S) is sigma applied to the set for S

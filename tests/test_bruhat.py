@@ -6,9 +6,17 @@ from itertools import compress
 import pytest
 
 from helpers import get_group, reflection_covers, subword_leq
-from singbgg import build_group, CartanType, interval, leq, lower_covers, upper_covers
+from singbgg import (
+    CartanType,
+    build_group,
+    hat_map,
+    interval,
+    leq,
+    lower_covers,
+    upper_covers,
+)
 from singbgg.bruhat import cover_graph, iter_indices
-from singbgg.errors import DomainError
+from singbgg.errors import BudgetError, DomainError
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3)])
@@ -56,17 +64,26 @@ def test_empty_interval_rejected():
         interval(g.generator(1), g.generator(2))
 
 
-def test_recursive_leq_without_enumeration():
+def test_order_queries_above_the_budget():
+    # Above the element budget there are no index tables: every Bruhat-order
+    # query refuses, while element arithmetic still answers.
     small = build_group(CartanType("B", 3), budget=1)
     assert not small.enumerated
     full = get_group("B", 3)
     words = [(), (1,), (2, 3), (3, 2, 3, 2), (1, 2, 3, 2, 1), (2, 3, 2),
              (1, 2, 1), (3,), (2, 3, 2, 1, 2, 3, 2)]
     for wu in words:
+        u, fu = small.from_word(wu), full.from_word(wu)
+        for query in (lambda: leq(u, u), lambda: interval(small.identity, u),
+                      lambda: upper_covers(u), lambda: lower_covers(u)):
+            with pytest.raises(BudgetError):
+                query()
+        assert u.reduced_word() == fu.reduced_word()
+        assert u.inverse().perm == fu.inverse().perm
+        assert hat_map(u).perm == hat_map(fu).perm
         for wv in words:
-            got = leq(small.from_word(wu), small.from_word(wv))
-            ref = leq(full.from_word(wu), full.from_word(wv))
-            assert got == ref
+            assert (u * small.from_word(wv)).perm == (fu * full.from_word(wv)).perm
+    assert small.longest_element().perm == full.longest_element().perm
 
 
 def test_iter_indices_dense_and_sparse():

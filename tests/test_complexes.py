@@ -13,17 +13,14 @@ from helpers import (
     rationally_smooth,
 )
 from singbgg import (
-    CartanType,
     ComplexSkeleton,
     IntPolynomial,
     SkeletonEdge,
     assign_signs,
-    build_group,
     coset_extremum,
     cut_equalities,
     dominant_support,
     is_kostant,
-    kl_table,
     klv_dominant,
     klv_polynomial,
     kostant_decompose,
@@ -327,6 +324,18 @@ def test_dominant_support_closed_form():
         properties.check_dominant_support(gb, S)
 
 
+def test_dominant_support_self_check_fires(monkeypatch):
+    # A Möbius row missing one element of the closed form must be caught.
+    g = get_group("B", 3)
+    b = make_block(g, {2, 3})
+    row = list(complexes._mobius_row(b, b._w0_lambda_idx))
+    assert (b._w0_lambda_idx, True) in row
+    monkeypatch.setattr(complexes, "_mobius_row",
+                        lambda b, wi: [(xi, nz) for xi, nz in row if xi != wi])
+    with pytest.raises(AssertionError, match="disagrees with the Möbius support"):
+        dominant_support(b)
+
+
 def test_monotone_transfer():
     for fam, rank in [("A", 3), ("B", 3)]:
         g = get_group(fam, rank)
@@ -387,8 +396,8 @@ def test_exactness_matches_pairwise_definition(fam, rank):
         b = make_block(g, S)
         for w in b.max_reps:
             assert is_kostant(w, b, t) == _kostant_by_pairs(w, b, t), (S, w)
-        for w in b.right_max_reps:
-            assert s_category_has_bgg(w, b, t) == _kostant_by_pairs(w.inverse(), b, t), (S, w)
+        for x in b.max_reps:  # x^-1 runs over the longest right-coset representatives
+            assert s_category_has_bgg(x.inverse(), b, t) == _kostant_by_pairs(x, b, t), (S, x)
 
 
 def test_witness_scan_work_count(monkeypatch):
@@ -424,11 +433,8 @@ def test_regular_block_matches_rational_smoothness(fam, rank, count):
     # |mu| = 1 on every comparable pair, so w is Kostant iff P_{y,v} = 1 for
     # all y <= v = w w0, iff the Schubert variety of v is rationally smooth
     # (Carrell-Peterson).  The oracle reads no KL polynomial.
-    if fam == "D" and rank == 5:  # 1920 elements, above the default budget
-        g = build_group(CartanType(fam, rank), budget=1920)
-        t = kl_table(g)
-    else:
-        g, t = get_group(fam, rank), get_table(fam, rank)
+    budget = 1920 if (fam, rank) == ("D", 5) else None  # D5 is above the default
+    g, t = get_group(fam, rank, budget), get_table(fam, rank, budget)
     rw0 = g.rmul_w0_indices()
     expect = [wi for wi in range(g.order) if not rationally_smooth(g, rw0[wi])]
     assert [w.index for w in nonkostant_block(g, set(), t)] == expect

@@ -37,6 +37,24 @@ def test_package_is_standard_library_only():
     assert foreign == set()
 
 
+def test_permutation_helpers_stay_in_weyl():
+    # Inside the package elements are indices into the group's tables; only
+    # weyl.py composes, inverts or counts on signed-root permutations.
+    helpers = {"_compose", "_invert", "_num_inversions"}
+    users = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & helpers:
+                users.add(path.name)
+    assert users - {"weyl.py"} == set()
+
+
 def test_fractions_only_for_weight_input():
     # Root data are integers; only user weight coordinates are rationals.
     users = {path.name for path in SRC.glob("*.py")

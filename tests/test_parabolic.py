@@ -40,10 +40,16 @@ def test_block_structure_invariants():
             b = make_block(g, S)
             assert len(b.min_reps) * len(b.W_lambda) == g.order
             assert sorted(x * b.w0_lambda for x in b.min_reps) == sorted(b.max_reps)
-            for x in b.min_reps:
-                assert not (x.right_descents() & S)
-            assert sorted(x.inverse() for x in b.min_reps) == sorted(b.right_min_reps)
-            assert sorted(x.inverse() for x in b.max_reps) == sorted(b.right_max_reps)
+            # minimal left-coset representatives have no right descent in S,
+            # longest ones have all of S; their inverses are the right-coset
+            # representatives, with the same property on the left
+            for reps, descends in ((b.min_reps, set()), (b.max_reps, set(S))):
+                for x in reps:
+                    assert {s for s in S if g._rmul[s - 1][x.index] < x.index} == descends
+                inverses = {x.inverse() for x in reps}
+                assert inverses == {w for w in g.elements()
+                                    if {s for s in S if g._lmul[s - 1][w.index] < w.index}
+                                    == descends}
 
 
 def test_bad_singular_index():
@@ -182,14 +188,14 @@ def test_singularity_from_weight_errors():
 def test_hat_map():
     g = get_group("A", 3)
     w0 = g.longest_element()
-    assert hat_map(w0).is_identity()
+    assert hat_map(w0) == g.identity
     assert hat_map(g.identity) == w0
     for w in g.elements():
         assert hat_map(hat_map(w)) == w0 * w * w0
     for S in all_singularities(3):
         b = make_block(g, S)
         image = sorted(hat_map(w) for w in b.max_reps)
-        assert image == sorted(b.right_min_reps)
+        assert image == sorted(x.inverse() for x in b.min_reps)
 
 
 def test_hat_map_above_the_budget():

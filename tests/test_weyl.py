@@ -84,19 +84,35 @@ def test_word_round_trip():
 
 def test_non_reduced_words_normalize():
     g = get_group("A", 2)
-    assert g.from_word([1, 1]).is_identity()
+    assert g.from_word([1, 1]) == g.identity
     assert g.from_word([1, 2, 1]) == g.from_word([2, 1, 2])
-    assert g.from_word([1, 2, 2, 1]).is_identity()
+    assert g.from_word([1, 2, 2, 1]) == g.identity
+
+
+def _descents(mul, i):
+    """{s : l(s w_i) < l(w_i)} for mul = g._lmul, {s : l(w_i s) < l(w_i)} for
+    g._rmul: indices are sorted by length, so a descent lowers the index."""
+    return {s + 1 for s, row in enumerate(mul) if row[i] < i}
 
 
 def test_descent_sets():
     g = get_group("A", 2)
     w = g.from_word([1, 2])
-    assert w.left_descents() == {1}
-    assert w.right_descents() == {2}
+    assert _descents(g._lmul, w.index) == {1}
+    assert _descents(g._rmul, w.index) == {2}
     w0 = g.longest_element()
-    assert w0.left_descents() == {1, 2}
-    assert w0.right_descents() == {1, 2}
+    assert _descents(g._lmul, w0.index) == {1, 2}
+    assert _descents(g._rmul, w0.index) == {1, 2}
+    # the tables agree with the root action: s is a right descent of w iff
+    # w sends alpha_s negative, a left descent iff w^-1 does
+    for fam, rank in [("B", 3), ("G", 2), ("D", 4), ("F", 4)]:
+        g = get_group(fam, rank)
+        for w in g.elements():
+            i = w.index
+            assert _descents(g._rmul, i) == {s for s in range(1, rank + 1) if w.perm[s - 1] < 0}
+            assert _descents(g._lmul, i) == _descents(g._rmul, g._inv[i])
+            assert _descents(g._lmul, i) == {
+                s for s in range(1, rank + 1) if w.inverse().perm[s - 1] < 0}
 
 
 def test_longest_element():
@@ -104,7 +120,7 @@ def test_longest_element():
         g = get_group(fam, rank)
         w0 = g.longest_element()
         assert w0.length == len(g.positive_roots)
-        assert (w0 * w0).is_identity()
+        assert w0 * w0 == g.identity
         assert max(w.length for w in g.elements()) == w0.length
 
 
@@ -146,7 +162,7 @@ def test_element_order_matches_index_order():
 def test_inverse_and_multiplication():
     g = get_group("B", 3)
     for w in g.elements()[:20]:
-        assert (w * w.inverse()).is_identity()
+        assert w * w.inverse() == g.identity
         assert w.inverse().length == w.length
 
 
