@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from .bruhat import cover_graph, iter_indices, up_masks
 from .errors import DomainError
-from .klpoly import KLTable, _dominant_sum
+from .klpoly import KLTable, _coset_sum
 from .mobius import _mobius_row, support_X
 from .parabolic import (
     SingularBlock,
     _intersection_pairs,
+    _w0_conjugate,
     complementary_singularity,
     make_block,
 )
@@ -234,16 +235,19 @@ def is_kostant(w: Element, b: SingularBlock, t: KLTable) -> bool:
     check_same_group(b.group, w, t)
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
-    return _failing_rep(w.index, b, t, 0) < 0
+    return _failing_rep(w.index, b, _w0_conjugate(b), t, 0) < 0
 
 
-def _failing_rep(wi: int, b: SingularBlock, t: KLTable, first: int) -> int:
-    """Index of a longest representative x >= w_wi whose dominant-side sum
-    is not |mu(w, x)|, or -1; the x in mask `first` are tried first."""
-    zi = b.group.rmul_w0_indices()[wi]
-    terms = b._dominant_terms
+def _failing_rep(wi: int, b: SingularBlock, b_dom: SingularBlock, t: KLTable,
+                 first: int) -> int:
+    """Index of a longest representative x >= w_wi whose dominant-side sum,
+    the coset sum of b_dom = _w0_conjugate(b) at (x w0, w w0), is not
+    |mu(w, x)|, or -1; the x in mask `first` are tried first."""
+    rw0 = b.group.rmul_w0_indices()
+    zi = rw0[wi]
+    cosets = b_dom._cosets
     for xi, nonzero in _mobius_row(b, wi, first):
-        if _dominant_sum(t, terms[xi], zi) != (1 if nonzero else 0):
+        if _coset_sum(t, cosets[rw0[xi]], zi) != (1 if nonzero else 0):
             return xi
     return -1
 
@@ -254,10 +258,11 @@ def nonkostant_block(g: WeylGroup, S, t: KLTable) -> list[Element]:
     the x at which a higher representative failed."""
     check_same_group(g, t)
     b = make_block(g, S)
+    b_dom = _w0_conjugate(b)
     witnesses = 0
     bad = []
     for wi in reversed(b._maxrep_indices):
-        xi = _failing_rep(wi, b, t, witnesses)
+        xi = _failing_rep(wi, b, b_dom, t, witnesses)
         if xi >= 0:
             witnesses |= 1 << xi
             bad.append(wi)
@@ -268,14 +273,14 @@ def dominant_support(b: SingularBlock) -> set[Element]:
     """Support of the most singular dominant parameter: the complementary
     parabolic subgroup times the longest singular element."""
     g = b.group
-    comp = make_block(g, complementary_singularity(b))
     w0i = b._w0_lambda_idx
-    rows = [g._rmul[s - 1] for s in g._words[w0i]]
-    out = set()
-    for u in comp._wlambda_indices:
-        for row in rows:
-            u = row[u]
-        out.add(u)
+    # the coset W_{S^c} w0_lambda: the closure of w0_lambda under left
+    # multiplication by the complementary generators
+    rows = [g._lmul[s - 1] for s in complementary_singularity(b)]
+    out, layer = {w0i}, {w0i}
+    while layer:
+        layer = {row[i] for i in layer for row in rows} - out
+        out |= layer
     if out != {xi for xi, nonzero in _mobius_row(b, w0i) if nonzero}:
         raise AssertionError("closed-form support disagrees with the Möbius support")
     return {g.element_by_index(i) for i in out}
@@ -291,4 +296,4 @@ def s_category_has_bgg(w: Element, b: SingularBlock, t: KLTable) -> bool:
         raise DomainError(
             f"{w!r} is not a longest right-coset representative"
         )
-    return _failing_rep(wi, b, t, 0) < 0
+    return _failing_rep(wi, b, _w0_conjugate(b), t, 0) < 0

@@ -42,10 +42,10 @@ indices.  A loaded table validates the whole file at load time, each mask
 against the Bruhat order, but keeps the masks and pool indices as they are;
 a column's dict is built the first time something reads that column.
 
-The singular variants are alternating sums of ordinary entries over a
-parabolic subgroup.  The dominant-side variant, the one the exactness test
-reads, is the same sum for the singularity set conjugated by the longest
-element; it runs over the block's precomputed index terms.
+The singular polynomials are alternating sums of ordinary entries over a
+coset of a parabolic subgroup, read off the block's coset table by one
+kernel, `_coset_sum`.  The exactness test reads them on the block of the
+singularity set conjugated by w0, at (x w0, w w0).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from itertools import accumulate
 
 from .bruhat import cover_graph, down_masks, index_mask, iter_indices, leq
 from .errors import DomainError, InputError
-from .parabolic import SingularBlock
+from .parabolic import SingularBlock, _w0_conjugate
 from .weyl import Element, WeylGroup, check_same_group
 
 Coeffs = tuple[int, ...]
@@ -344,10 +344,7 @@ def klv_polynomial(
     for e in (y, z):
         if not b_mu.contains_min_rep(e):
             raise DomainError(f"{e!r} is not a minimal coset representative")
-    lengths = t.group._lengths
-    terms = [(yu, -1 if lengths[u] % 2 else 1)
-             for u, yu in zip(b_mu._wlambda_indices, b_mu._coset_indices(y.index))]
-    return IntPolynomial(_unpack(_dominant_sum(t, terms, z.index)))
+    return IntPolynomial(_unpack(_coset_sum(t, b_mu._cosets[y.index], z.index)))
 
 
 def klv_dominant(
@@ -362,11 +359,11 @@ def klv_dominant(
             raise DomainError(f"{e!r} is not a longest coset representative")
     if not leq(w, x):
         raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
-    zi = b.group.rmul_w0_indices()[w.index]
-    return IntPolynomial(_unpack(_dominant_sum(t, b._dominant_terms[x.index], zi)))
+    el, rw0 = b.group.element_by_index, b.group.rmul_w0_indices()
+    return klv_polynomial(t, _w0_conjugate(b), el(rw0[x.index]), el(rw0[w.index]))
 
 
-def _dominant_sum(t: KLTable, terms, zi: int) -> int:
+def _coset_sum(t: KLTable, terms, zi: int) -> int:
     """Signed sum of P_{y, z} over the (y, sign) terms, packed.
 
     The y must be distinct; the table's width check then covers the sum.

@@ -5,13 +5,15 @@ W_lambda.  The block object carries left cosets only: the minimal
 representatives (no reduced expression ends in a singular reflection) and
 the longest ones (minimal representatives times the longest element of
 W_lambda); right cosets are their inverses, through the inversion table.
-It also keeps two O(|W|) index tables for the exactness scan: the coset of
-every element and the dominant-side terms of every longest representative.
+It keeps two O(|W|) index tables: the coset of every element, and one coset
+table, each coset m W_lambda as its (m u, (-1)^l(u)) pairs, built once from
+the right multiplication table.  The signed pairs are what the singular
+polynomials sum over; the exactness test reads them on the block of the
+singularity set conjugated by w0.
 
 The coset helpers and matchings work on element indices and Bruhat-order
-bitmasks, and make Elements only for the results they return.  Their one
-coset walk is `SingularBlock._coset_indices`: m u for u in W_lambda, from the
-minimal representative m along the right multiplication table.
+bitmasks, and make Elements only for the results they return.  They read
+the coset table through `SingularBlock._coset_indices`.
 """
 
 from __future__ import annotations
@@ -29,50 +31,43 @@ class SingularBlock:
         g.require_enumerated()
         self.group = g
         self.S = S
-        lengths = g._lengths
+        lengths, rmul = g._lengths, g._rmul
 
         # coset_of[i]: index of the minimal representative of w_i W_lambda.
         # A right descent s in S gives w_i = w_j s with j < i in the same coset.
-        rmuls = [g._rmul[s - 1] for s in sorted(S)]
+        rmuls = [rmul[s - 1] for s in S]
         coset_of = list(range(g.order))
         for i in range(g.order):
-            for rmul in rmuls:
-                j = rmul[i]
+            for row in rmuls:
+                j = row[i]
                 if j < i:
                     coset_of[i] = coset_of[j]
                     break
         self._coset_of = coset_of
-        cosets: dict[int, list[int]] = {}  # in increasing index order
-        for i, m in enumerate(coset_of):
-            cosets.setdefault(m, []).append(i)
-
-        self._wlambda_indices = cosets[0]
-        self._w0_lambda_idx = cosets[0][-1]
-        self._minrep_indices = sorted(cosets)
+        self._wlambda_indices = wl = [i for i, m in enumerate(coset_of) if m == 0]
+        self._w0_lambda_idx = wl[-1]
+        self._minrep_indices = [i for i, m in enumerate(coset_of) if i == m]
         self._minrep_mask = index_mask(self._minrep_indices)
 
-        # The longest element of a coset has the largest index in it.
-        l0 = lengths[self._w0_lambda_idx]
-        self._maxrep_indices = sorted(cosets[m][-1] for m in self._minrep_indices)
-        self._maxrep_mask = index_mask(self._maxrep_indices)
-
-        # Dominant-side terms of each longest representative x: the singular
-        # polynomial for (w, x) is the sum over z in x W_lambda of
-        # (-1)^(l(x)-l(z)) P_{z w0, w w0}.  Written as z = m u with m minimal,
-        # the sign is (-1)^(l(u) + l(w0_lambda)), not (-1)^l(u).
-        rw0 = g.rmul_w0_indices()
-        self._dominant_terms: dict[int, tuple[tuple[int, int], ...]] = {}
+        # _cosets[m] lists (m u, (-1)^l(u)) for u in _wlambda_indices order,
+        # as m u = (m u') s: s ends u's ShortLex word and u' = u s is listed
+        # before u.  The last entry, m w0_lambda, is the coset's longest element.
+        pos = {u: k for k, u in enumerate(wl)}
+        steps = []
+        for u in wl[1:]:
+            row = rmul[g._words[u][-1] - 1]
+            steps.append((pos[row[u]], row))
+        signs = [-1 if lengths[u] % 2 else 1 for u in wl]
+        self._cosets: dict[int, tuple[tuple[int, int], ...]] = {}
         for m in self._minrep_indices:
-            members = cosets[m]
-            xi = members[-1]
-            lx = lengths[xi]
-            if lx != lengths[m] + l0:
-                raise AssertionError(
-                    "coset lengths are not additive over W_lambda"
-                )
-            self._dominant_terms[xi] = tuple(
-                (rw0[z], -1 if (lx - lengths[z]) % 2 else 1) for z in members
-            )
+            zs = [m]
+            for k, row in steps:
+                zs.append(row[zs[k]])
+            if lengths[zs[-1]] != lengths[m] + lengths[wl[-1]]:
+                raise AssertionError("coset lengths are not additive over W_lambda")
+            self._cosets[m] = tuple(zip(zs, signs))
+        self._maxrep_indices = sorted(c[-1][0] for c in self._cosets.values())
+        self._maxrep_mask = index_mask(self._maxrep_indices)
 
     # -- element views (sorted by (length, ShortLex word) = index order) ------
 
@@ -106,18 +101,9 @@ class SingularBlock:
         return [self.group.element_by_index(i)
                 for i in sorted(self._coset_indices(x.index))]
 
-    def _coset_indices(self, xi: int) -> list[int]:
-        """Indices of m u for u in W_lambda, in _wlambda_indices order, where
-        m is the minimal representative of the coset of element xi."""
-        g = self.group
-        m = self._coset_of[xi]
-        out = []
-        for u in self._wlambda_indices:
-            z = m
-            for s in g._words[u]:
-                z = g._rmul[s - 1][z]
-            out.append(z)
-        return out
+    def _coset_indices(self, xi: int) -> tuple[int, ...]:
+        """Indices of the coset of element xi, in _wlambda_indices order."""
+        return tuple(z for z, _ in self._cosets[self._coset_of[xi]])
 
     def __repr__(self) -> str:
         return f"SingularBlock({self.group.cartan}, S={sorted(self.S)})"
@@ -132,6 +118,15 @@ def make_block(g: WeylGroup, S) -> SingularBlock:
     if S not in g._blocks:
         g._blocks[S] = SingularBlock(g, S)
     return g._blocks[S]  # type: ignore[return-value]
+
+
+def _w0_conjugate(b: SingularBlock) -> SingularBlock:
+    """The block of sigma(S) = w0 S w0, whose cosets the exactness test sums
+    over; b's own where w0 is central (A1, B, C, even D, E7, E8, F4, G2).
+    w0 s w0 = (w0 s) w0 is a simple reflection, named by its one-letter word."""
+    g = b.group
+    rw0, top = g.rmul_w0_indices(), g.order - 1
+    return make_block(g, {g._words[rw0[g._rmul[s - 1][top]]][0] for s in b.S})
 
 
 def kostant_decompose(v: Element, b: SingularBlock) -> tuple[Element, Element]:

@@ -13,9 +13,11 @@ from helpers import (
     rationally_smooth,
 )
 from singbgg import (
+    CartanType,
     ComplexSkeleton,
     IntPolynomial,
     SkeletonEdge,
+    WeylGroup,
     assign_signs,
     coset_extremum,
     cut_equalities,
@@ -242,7 +244,7 @@ def test_skeletons_compare_by_value():
 
 
 def test_coset_gates_fire(monkeypatch):
-    """The matching and extremum self-checks fire when the coset walk
+    """The matching and extremum self-checks fire when the coset lookup
     returns something other than a coset."""
     g = get_group("A", 3)
     b = make_block(g, {2})
@@ -258,7 +260,7 @@ def test_coset_gates_fire(monkeypatch):
     gb = get_group("B", 3)
     bb = make_block(gb, {2, 3})
     s1 = gb.generator(1)
-    walk = bb._coset_indices(s1.index)
+    walk = list(bb._coset_indices(s1.index))  # the lookup returns a tuple
     walk[3] = 0  # the identity is not above s1
     monkeypatch.setattr(bb, "_coset_indices", lambda xi: walk)
     with pytest.raises(AssertionError, match="partner left the intersection"):
@@ -322,6 +324,14 @@ def test_dominant_support_closed_form():
 
     for S in all_singularities(3):
         properties.check_dominant_support(gb, S)
+
+
+def test_dominant_support_builds_no_complementary_block():
+    # The support is a closure in W: no block of the complementary set.
+    g = WeylGroup(CartanType("B", 3))  # a group of its own: no cached blocks
+    b = make_block(g, {2, 3})
+    assert dominant_support(b) == {b.w0_lambda, g.generator(1) * b.w0_lambda}
+    assert list(g._blocks) == [frozenset({2, 3})]
 
 
 def test_dominant_support_self_check_fires(monkeypatch):
@@ -404,14 +414,14 @@ def test_witness_scan_work_count(monkeypatch):
     # Pair sums over all 64 blocks of A4, B4, D4 and F4: 253,831 when every
     # representative scans its row in index order, 89,616 witnesses first.
     calls = 0
-    dominant_sum = complexes._dominant_sum
+    coset_sum = complexes._coset_sum
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return dominant_sum(*args)
+        return coset_sum(*args)
 
-    monkeypatch.setattr(complexes, "_dominant_sum", counted)
+    monkeypatch.setattr(complexes, "_coset_sum", counted)
     bad = 0
     for fam in "ABDF":
         g = get_group(fam, 4)
@@ -489,16 +499,25 @@ def test_nonkostant_matches_element_oracle():
 
 
 def test_klv_dominant_matches_conjugated_block():
-    g = get_group("B", 3)
-    t = get_table("B", 3)
-    S = frozenset({1, 2})
-    b = make_block(g, S)
-    b_dom = make_block(g, _w0_conjugate(g, S))
-    w0 = g.longest_element()
-    pairs = [(w, x) for w in b.max_reps for x in b.max_reps if leq(w, x)]
-    assert len(pairs) > len(b.max_reps)
-    for w, x in pairs:
-        assert klv_dominant(t, b, w, x) == klv_polynomial(t, b_dom, x * w0, w * w0)
+    # Every comparable pair of every block: `moved` counts the singularity
+    # sets that conjugation by w0 does not fix, `compared` the pairs.
+    for fam, rank, moved, compared in [("A", 3, 4, 448), ("D", 3, 4, 448),
+                                       ("A", 4, 12, 9862), ("B", 3, 0, 1708),
+                                       ("G", 2, 0, 116)]:
+        g, t = get_group(fam, rank), get_table(fam, rank)
+        w0 = g.longest_element()
+        conjugated = pairs = 0
+        for S in all_singularities(rank):
+            S_dom = _w0_conjugate(g, S)
+            conjugated += S_dom != frozenset(S)
+            b, b_dom = make_block(g, S), make_block(g, S_dom)
+            for w in b.max_reps:
+                for x in b.max_reps:
+                    if leq(w, x):
+                        pairs += 1
+                        assert (klv_dominant(t, b, w, x) == klv_polynomial(
+                            t, b_dom, x * w0, w * w0)), (fam, rank, S, w, x)
+        assert (conjugated, pairs) == (moved, compared), (fam, rank)
 
 
 class _Mixed:
