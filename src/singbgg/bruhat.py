@@ -2,38 +2,37 @@
 
 The cover graph is built once per group from the left multiplication table
 by the lifting property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-2.2).  Order queries use transitive-closure bitmasks over the element
-indexing, so `leq` and interval extraction are O(1)-ish big-integer
-operations.  Every query here needs the enumerated group: above the element
-budget they raise BudgetError.  A set of element indices is a bitmask;
-`index_mask` and `iter_indices` convert between the two.
+2.2), and kept on the group as one `CoverGraph` record.  Order queries use
+transitive-closure bitmasks over the element indexing, so `leq` and interval
+extraction are O(1)-ish big-integer operations.  Every query here needs the
+enumerated group: above the element budget they raise BudgetError.  A set of
+element indices is a bitmask; `index_mask` and `iter_indices` convert between
+the two.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import compress
 
 from .errors import DomainError
 from .weyl import Element, WeylGroup, check_same_group
 
 
-class CoverGraph:
+class CoverGraph(namedtuple("CoverGraph", "group upper lower")):
     """Upper and lower covers per element index."""
 
-    def __init__(self, group: WeylGroup, upper: list[list[int]], lower: list[list[int]]):
-        self.group = group
-        self.upper = upper
-        self.lower = lower
+    __slots__ = ()
 
 
 def cover_graph(g: WeylGroup) -> CoverGraph:
-    """Covers by the lifting property, in index order.
+    """Covers by the lifting property, in index order; built once per group.
 
     For w != e let s be the first letter of its ShortLex word and v = s*w.
     The lower covers of w are v and the s*c > c over the lower covers c of v.
     """
     g.require_enumerated()
-    if g._covers_upper is None:
+    if g._covers is None:
         lmul, words = g._lmul, g._words
         upper: list[list[int]] = [[] for _ in range(g.order)]
         lower: list[list[int]] = [[] for _ in range(g.order)]
@@ -45,8 +44,8 @@ def cover_graph(g: WeylGroup) -> CoverGraph:
             lower[w] = low
             for c in low:
                 upper[c].append(w)
-        g._covers_upper, g._covers_lower = upper, lower
-    return CoverGraph(g, g._covers_upper, g._covers_lower)
+        g._covers = CoverGraph(g, upper, lower)
+    return g._covers
 
 
 def down_masks(g: WeylGroup) -> list[int]:

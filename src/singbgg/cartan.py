@@ -11,6 +11,7 @@ and a root is positive iff its coefficients are non-negative.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import ConfigurationError
 
@@ -19,16 +20,18 @@ Root = tuple[int, ...]
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 
 
-class CartanType:
-    """A simple Cartan type: family letter plus rank; immutable and hashable."""
+class CartanType(namedtuple("CartanType", "family rank")):
+    """A simple Cartan type: family letter plus rank; immutable and hashable.
 
-    family: str
-    rank: int
+    Equal only to another CartanType, never to a plain tuple.
+    """
 
-    def __init__(self, family: str, rank: int) -> None:
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
         if family not in ("A", "B", "C", "D", "E", "F", "G"):
             raise ConfigurationError(f"unknown family {family!r}")
-        if not isinstance(rank, int) or rank < 1:
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise ConfigurationError(f"rank must be a positive integer, got {rank!r}")
         if family == "D" and rank < 3:
             raise ConfigurationError("type D requires rank >= 3")
@@ -38,25 +41,16 @@ class CartanType:
             raise ConfigurationError("type G requires rank 2")
         if family == "E" and rank not in (6, 7, 8):
             raise ConfigurationError("type E requires rank 6, 7 or 8")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        return super().__new__(cls, family, rank)
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.rank) == (other.family, other.rank)
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self.family, self.rank))
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self) -> str:
-        return f"CartanType(family={self.family!r}, rank={self.rank!r})"
+    __hash__ = tuple.__hash__
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -14,9 +14,12 @@ Every stage is built on element indices: the up mask of w, the cover graph,
 the coset table and the index matchings of `parabolic`.  Index order is
 (length, ShortLex word) order, so vertices and edges come out sorted with no
 sort.  An Element is made once per vertex; edges share their endpoints'.
+Skeletons and their edges are immutable named tuples, compared by value.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .bruhat import cover_graph, iter_indices, up_masks
 from .errors import DomainError
@@ -32,51 +35,23 @@ from .parabolic import (
 from .weyl import Element, WeylGroup, check_same_group
 
 
-class SkeletonEdge:
-    """An arrow of a skeleton; immutable, equal and hashed by value."""
+class SkeletonEdge(namedtuple("SkeletonEdge", "source target kind sign",
+                              defaults=(None,))):
+    """An arrow of a skeleton, from source (higher degree) to target (lower
+    degree); kind is "morphism" or "equality".  Immutable, equal and hashed
+    by value."""
 
-    def __init__(self, source: Element, target: Element, kind: str,
-                 sign: int | None = None):
-        object.__setattr__(self, "source", source)  # higher degree
-        object.__setattr__(self, "target", target)  # lower degree
-        object.__setattr__(self, "kind", kind)  # "morphism" or "equality"
-        object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.source, self.target, self.kind, self.sign)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    __slots__ = ()
 
 
-class ComplexSkeleton:
-    """A graded vertex set with arrows from higher to lower degree."""
+class ComplexSkeleton(namedtuple("ComplexSkeleton", "base block vertices edges kind")):
+    """A graded vertex set with arrows from higher to lower degree.
 
-    def __init__(self, base: Element, block: SingularBlock,
-                 vertices: list[tuple[Element, int]], edges: list[SkeletonEdge],
-                 kind: str):
-        self.base = base
-        self.block = block
-        self.vertices = vertices  # (element, degree), sorted
-        self.edges = edges  # sorted by (target, source)
-        self.kind = kind  # "regular", "translated" or "singular"
+    vertices are (element, degree) pairs in index order, edges are sorted by
+    (target, source), and kind is "regular", "translated" or "singular".
+    """
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base, self.block, self.vertices, self.edges, self.kind)
-                == (other.base, other.block, other.vertices, other.edges, other.kind))
+    __slots__ = ()
 
     def elements(self) -> list[Element]:
         return [v for v, _ in self.vertices]
@@ -154,10 +129,7 @@ def _stratum_edges(verts: list[tuple[Element, int]], g: WeylGroup) -> list[Skele
 
 def singular_skeleton(w: Element, b: SingularBlock) -> ComplexSkeleton:
     """Direct construction from the graded support, bypassing translation."""
-    check_same_group(b.group, w)
-    if not b.contains_max_rep(w):
-        raise DomainError(f"{w!r} is not a longest coset representative")
-    gs = support_X(w, b)
+    gs = support_X(w, b)  # checks w's group and that w is a longest representative
     verts = [
         (x, i) for i, stratum in enumerate(gs.strata) for x in stratum
     ]

@@ -113,7 +113,7 @@ def make_block(g: WeylGroup, S) -> SingularBlock:
     """Build (and cache per group) the block data for singularity set S."""
     S = frozenset(S)
     for i in S:
-        if not isinstance(i, int) or not 1 <= i <= g.rank:
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= g.rank:
             raise InputError(f"singular index {i!r} out of range 1..{g.rank}")
     if S not in g._blocks:
         g._blocks[S] = SingularBlock(g, S)

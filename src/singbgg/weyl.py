@@ -118,8 +118,7 @@ class WeylGroup:
         if self.order <= self.budget:
             self._enumerate()
         # lazily built caches
-        self._covers_upper: list[list[int]] | None = None
-        self._covers_lower: list[list[int]] | None = None
+        self._covers: object | None = None  # bruhat.CoverGraph
         self._down_masks: list[int] | None = None
         self._up_masks: list[int] | None = None
         self._blocks: dict[frozenset[int], object] = {}
@@ -209,15 +208,13 @@ class WeylGroup:
 
     def generator(self, i: int) -> "Element":
         """Simple reflection s_i, 1-based."""
-        if not 1 <= i <= self.rank:
-            raise InputError(f"generator index {i} out of range 1..{self.rank}")
-        return Element(self, self.generator_perms[i - 1])
+        return self.from_word((i,))
 
     def from_word(self, word) -> "Element":
         """Product of the listed simple reflections, left to right."""
         p = self.identity_perm
         for i in word:
-            if not isinstance(i, int) or not 1 <= i <= self.rank:
+            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= self.rank:
                 raise InputError(f"generator index {i!r} out of range 1..{self.rank}")
             p = _compose(p, self.generator_perms[i - 1])
         return Element(self, p)

@@ -32,6 +32,7 @@ def test_cover_graph_matches_reflection_definition(fam, rank):
     g = get_group(fam, rank)
     cg = cover_graph(g)
     assert (cg.upper, cg.lower) == reflection_covers(g)
+    assert cover_graph(g) is cg and cg.group is g  # built once, kept on the group
 
 
 def test_covers_have_length_one_jump():

@@ -241,6 +241,10 @@ def test_skeletons_compare_by_value():
                                      direct.edges[1:], direct.kind)
     assert direct != ComplexSkeleton(direct.base, direct.block, direct.vertices,
                                      direct.edges, "translated")
+    for field in ComplexSkeleton._fields:
+        with pytest.raises(AttributeError):
+            setattr(direct, field, None)
+    assert direct.kind == "singular" and direct == staged
 
 
 def test_coset_gates_fire(monkeypatch):

@@ -55,6 +55,20 @@ def test_permutation_helpers_stay_in_weyl():
     assert users - {"weyl.py"} == set()
 
 
+def test_no_hand_written_immutability():
+    # Value records are namedtuples: no class guards its own attributes.
+    guards = {
+        f"{path.name}: {node.name}.{item.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name in ("__setattr__", "__delattr__")
+    }
+    assert guards == set()
+
+
 def test_fractions_only_for_weight_input():
     # Root data are integers; only user weight coordinates are rationals.
     users = {path.name for path in SRC.glob("*.py")

@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import get_group, shortlex_tables
-from singbgg import CartanType, build_group, positive_roots
+from singbgg import CartanType, build_group, make_block, positive_roots
 from singbgg.errors import BudgetError, ConfigurationError, InputError
 from singbgg.weyl import _compose
 
@@ -54,6 +54,8 @@ def test_bad_cartan_rejected():
         ("D", 2, "type D requires rank >= 3"),
         ("A", 0, "rank must be a positive integer, got 0"),
         ("A", "3", "rank must be a positive integer, got '3'"),
+        ("A", True, "rank must be a positive integer, got True"),
+        ("A", 1.0, "rank must be a positive integer, got 1.0"),
     ]:
         with pytest.raises(ConfigurationError) as exc:
             CartanType(fam, rank)
@@ -73,6 +75,9 @@ def test_cartan_type_is_an_immutable_value():
     with pytest.raises(AttributeError):
         b4.family = "C"
     assert (b4.family, b4.rank) == ("B", 4)
+    assert b4._replace(family="C") == CartanType("C", 4)
+    with pytest.raises(ConfigurationError):
+        b4._replace(rank=0)
 
 
 def test_word_round_trip():
@@ -208,10 +213,16 @@ def test_mixed_groups_rejected():
 
 def test_generator_index_validation():
     g = get_group("A", 2)
+    for i in (3, 0, True, 1.0, "1"):
+        with pytest.raises(InputError) as exc:
+            g.generator(i)
+        assert str(exc.value) == f"generator index {i!r} out of range 1..2"
+        with pytest.raises(InputError):
+            g.from_word([1, i])
     with pytest.raises(InputError):
-        g.generator(3)
-    with pytest.raises(InputError):
-        g.from_word([0])
+        make_block(g, {True})
+    # a bool index would take the int's cache entry and print as a bool
+    assert repr(make_block(g, {1})) == "SingularBlock(A2, S=[1])"
 
 
 def test_budget_blocks_enumeration_only():
