@@ -1,6 +1,6 @@
 """Exact combinatorics of singular BGG complexes in category O.
 
-Weyl groups with exact signed-root arithmetic, Bruhat order, parabolic coset
+Weyl groups as exact integer weight orbits, Bruhat order, parabolic coset
 data, Kazhdan-Lusztig polynomials and their singular variants, block Möbius
 functions, and the combinatorial exactness test for singular BGG complexes.
 """

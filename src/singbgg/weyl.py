@@ -1,10 +1,11 @@
 """Finite Weyl groups with exact element arithmetic.
 
-Elements act on the set of positive roots with sign flags: an element is
-stored as a tuple ``perm`` with ``perm[i] = +-(j+1)`` meaning that the i-th
-positive root is mapped to plus or minus the j-th positive root.  The simple
-reflections' permutations come from the integer Cartan matrix, so everything
-is integer arithmetic, with O(N) multiplication for all types uniformly.
+An element w is stored as the integral weight w(rho), in fundamental-weight
+coordinates with rho = (1, ..., 1).  W acts freely on the orbit of rho, so
+the weight names the element, and s_i is a left descent of w exactly when
+the i-th coordinate of w(rho) is negative.  The one action is
+s_i(mu) = mu - mu_i alpha_i, with alpha_i the i-th column of the integer
+Cartan matrix, so everything is integer arithmetic on ``rank`` coordinates.
 
 Groups of order up to the element budget (default 1152, override with the
 ``BGG_ELEMENT_BUDGET`` environment variable) are fully enumerated at build
@@ -23,35 +24,19 @@ import math
 import os
 from functools import total_ordering
 
-from .cartan import CartanType, Root, positive_roots, simple_reflection
+from .cartan import CartanType
 from .errors import BudgetError, InputError
 
 DEFAULT_ELEMENT_BUDGET = 1152
 
-Perm = tuple[int, ...]
+Weight = tuple[int, ...]
 
 
-def _compose(pu: Perm, pv: Perm) -> Perm:
-    """Permutation of u*v, where (u*v)(beta) = u(v(beta))."""
-    out = []
-    for a in pv:
-        b = pu[a - 1] if a > 0 else -pu[-a - 1]
-        out.append(b)
-    return tuple(out)
-
-
-def _invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, a in enumerate(p, start=1):
-        if a > 0:
-            out[a - 1] = i
-        else:
-            out[-a - 1] = -i
-    return tuple(out)
-
-
-def _num_inversions(p: Perm) -> int:
-    return sum(1 for a in p if a < 0)
+def _reflect(cols: list[Weight], mu: Weight, i: int) -> Weight:
+    """s_i(mu) = mu - mu_i alpha_i, where cols[i] is alpha_i in
+    fundamental-weight coordinates (column i of the Cartan matrix)."""
+    c = mu[i]
+    return tuple([m - c * a for m, a in zip(mu, cols[i])])
 
 
 def _element_budget() -> int:
@@ -99,20 +84,11 @@ class WeylGroup:
     def __init__(self, cartan: CartanType, budget: int | None = None):
         self.cartan = cartan
         self.budget = _element_budget() if budget is None else budget
-        self.positive_roots: list[Root] = positive_roots(cartan)
         self.rank = cartan.rank
         self.order = cartan.group_order
-        n_pos = len(self.positive_roots)
-
-        # s_i sends alpha_i, the i-th root, to -alpha_i and permutes the rest.
         a = cartan.cartan_matrix()
-        index = {r: k for k, r in enumerate(self.positive_roots)}
-        self.generator_perms: list[Perm] = [
-            tuple(-(i + 1) if k == i else index[simple_reflection(a, i, beta)] + 1
-                  for k, beta in enumerate(self.positive_roots))
-            for i in range(self.rank)
-        ]
-        self.identity_perm: Perm = tuple(range(1, n_pos + 1))
+        self._cols: list[Weight] = [tuple(row[i] for row in a) for i in range(self.rank)]
+        self._rho: Weight = (1,) * self.rank
 
         self._enumerated = False
         if self.order <= self.budget:
@@ -122,7 +98,6 @@ class WeylGroup:
         self._down_masks: list[int] | None = None
         self._up_masks: list[int] | None = None
         self._blocks: dict[frozenset[int], object] = {}
-        self._w0_perm: Perm | None = None
         self._rw0: list[int] | None = None
 
     # -- construction helpers -------------------------------------------------
@@ -133,37 +108,35 @@ class WeylGroup:
         A new q = s*w of the next layer is first met with s its smallest left
         descent and w in index order, so layers come out in ShortLex order.
         """
-        n_pos = len(self.positive_roots)
-        # act[a] is s(a) for a signed root index -n_pos <= a <= n_pos, so that
-        # s*w shares its int objects with act instead of negating afresh.
-        acts = [(0,) + gp + tuple(-a for a in reversed(gp)) for gp in self.generator_perms]
-        perms: list[Perm] = [self.identity_perm]
+        cols = self._cols
+        weights: list[Weight] = [self._rho]
         words: list[tuple[int, ...]] = [()]
         lengths = [0]
-        index: dict[Perm, int] = {self.identity_perm: 0}
-        lmul: list[list[int]] = [[-1] for _ in acts]
+        index: dict[Weight, int] = {self._rho: 0}
+        lmul: list[list[int]] = [[-1] for _ in cols]
         start, end = 0, 1
         while start < end:
-            for s, act in enumerate(acts):
-                row = lmul[s]
+            for s, row in enumerate(lmul):
                 for i in range(start, end):
                     if row[i] < 0:  # s is not a left descent of w_i
-                        q = tuple([act[a] for a in perms[i]])
+                        q = _reflect(cols, weights[i], s)
                         j = index.get(q)
                         if j is None:
-                            j = index[q] = len(perms)
-                            perms.append(q)
+                            j = index[q] = len(weights)
+                            weights.append(q)
                             words.append((s + 1,) + words[i])
                             lengths.append(lengths[i] + 1)
                             for r in lmul:
                                 r.append(-1)
                         row[i], row[j] = j, i
-            start, end = end, len(perms)
-        if len(perms) != self.order:
+            start, end = end, len(weights)
+        if len(weights) != self.order:
             raise AssertionError(
-                f"closure found {len(perms)} elements, expected {self.order}"
+                f"closure found {len(weights)} elements, expected {self.order}"
             )
-        if _num_inversions(perms[-1]) != n_pos or lengths[-2] == n_pos:
+        n_pos = self.cartan.num_positive_roots
+        if (weights[-1] != (-1,) * self.rank or lengths[-1] != n_pos
+                or lengths[-2] == n_pos):
             raise AssertionError("the last index is not the unique longest element")
         # w = s_1...s_k gives w^-1 = s_k...s_1: left-multiply e along the word
         inv = []
@@ -172,25 +145,30 @@ class WeylGroup:
             for s in word:
                 k = lmul[s - 1][k]
             inv.append(k)
-        self._perms, self._words, self._lengths = perms, words, lengths
+        self._weights, self._words, self._lengths = weights, words, lengths
         self._index, self._inv, self._lmul = index, inv, lmul
         self._rmul = [[inv[row[k]] for k in inv] for row in lmul]
         self._enumerated = True
 
-    def _shortlex_word(self, p: Perm) -> tuple[int, ...]:
-        """ShortLex-minimal reduced word: repeatedly strip the smallest left descent."""
+    def _act(self, word, mu: Weight) -> Weight:
+        """w(mu) for w the product of the simple reflections in `word`."""
+        for i in reversed(word):
+            mu = _reflect(self._cols, mu, i - 1)
+        return mu
+
+    def _shortlex_word(self, mu: Weight) -> tuple[int, ...]:
+        """ShortLex-minimal reduced word of the element with weight mu:
+        repeatedly strip the smallest left descent, the first negative
+        coordinate."""
         word = []
-        cur = p
         while True:
-            inv = _invert(cur)
-            for i in range(self.rank):
-                if inv[i] < 0:  # l(s_i * cur) < l(cur)
+            for i, m in enumerate(mu):
+                if m < 0:
                     break
             else:
-                break
+                return tuple(word)
             word.append(i + 1)
-            cur = _compose(self.generator_perms[i], cur)
-        return tuple(word)
+            mu = _reflect(self._cols, mu, i)
 
     # -- basic API ------------------------------------------------------------
 
@@ -204,7 +182,7 @@ class WeylGroup:
 
     @property
     def identity(self) -> "Element":
-        return Element(self, self.identity_perm)
+        return Element(self, self._rho)
 
     def generator(self, i: int) -> "Element":
         """Simple reflection s_i, 1-based."""
@@ -212,38 +190,23 @@ class WeylGroup:
 
     def from_word(self, word) -> "Element":
         """Product of the listed simple reflections, left to right."""
-        p = self.identity_perm
+        word = tuple(word)
         for i in word:
             if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= self.rank:
                 raise InputError(f"generator index {i!r} out of range 1..{self.rank}")
-            p = _compose(p, self.generator_perms[i - 1])
-        return Element(self, p)
+        return Element(self, self._act(word, self._rho))
 
     def longest_element(self) -> "Element":
-        """The unique element of maximal length, computed once per group.
-
-        It is the last index of an enumerated group; otherwise it is found by
-        greedy ascent, which needs no table.
-        """
+        """The unique element of maximal length, w0(rho) = -rho; the last
+        index of an enumerated group."""
         if self._enumerated:
             return self.element_by_index(self.order - 1)
-        if self._w0_perm is None:
-            p = self.identity_perm
-            while True:
-                for s, gp in enumerate(self.generator_perms):
-                    if p[s] > 0:  # l(w s) > l(w): alpha_s not sent negative
-                        p = _compose(p, gp)
-                        break
-                else:
-                    break
-            self._w0_perm = p
-        return Element(self, self._w0_perm)
+        return Element(self, (-1,) * self.rank)
 
     def element_by_index(self, i: int) -> "Element":
         self.require_enumerated()
-        e = Element(self, self._perms[i])
+        e = Element(self, self._weights[i])
         e._index = i
-        e._length = self._lengths[i]
         e._word = self._words[i]
         return e
 
@@ -254,7 +217,7 @@ class WeylGroup:
 
     def index_of(self, w: "Element") -> int:
         self.require_enumerated()
-        return self._index[w.perm]
+        return self._index[w.weight]
 
     def __repr__(self) -> str:
         return f"WeylGroup({self.cartan.family!r}, {self.rank})"
@@ -262,36 +225,30 @@ class WeylGroup:
     # -- index-level tables used by the heavier modules -----------------------
 
     def rmul_w0_indices(self) -> list[int]:
-        """rmul_w0_indices()[i] is the index of w_i * w0 (built on first use),
-        reached along w0's word through the right multiplication table."""
+        """rmul_w0_indices()[i] is the index of w_i * w0 (built on first use):
+        (w w0)(rho) = w(-rho) = -w(rho)."""
         self.require_enumerated()
         if self._rw0 is None:
-            rw0 = list(range(self.order))
-            for s in self._words[-1]:
-                row = self._rmul[s - 1]
-                rw0 = [row[i] for i in rw0]
-            self._rw0 = rw0
+            index = self._index
+            self._rw0 = [index[tuple(-m for m in mu)] for mu in self._weights]
         return self._rw0
 
 
 @total_ordering
 class Element:
-    """A Weyl group element: signed-root permutation with cached length."""
+    """A Weyl group element w, stored as the weight w(rho)."""
 
-    __slots__ = ("group", "perm", "_length", "_word", "_index")
+    __slots__ = ("group", "weight", "_word", "_index")
 
-    def __init__(self, group: WeylGroup, perm: Perm):
+    def __init__(self, group: WeylGroup, weight: Weight):
         self.group = group
-        self.perm = perm
-        self._length: int | None = None
+        self.weight = weight
         self._word: tuple[int, ...] | None = None
         self._index: int | None = None
 
     @property
     def length(self) -> int:
-        if self._length is None:
-            self._length = _num_inversions(self.perm)
-        return self._length
+        return len(self.reduced_word())
 
     @property
     def index(self) -> int:
@@ -306,22 +263,24 @@ class Element:
             if g._enumerated:
                 self._word = g._words[self.index]
             else:
-                self._word = g._shortlex_word(self.perm)
+                self._word = g._shortlex_word(self.weight)
         return self._word
 
     def __mul__(self, other: "Element") -> "Element":
+        """(u v)(rho) = u(v(rho)), applied along u's word."""
         if other.group is not self.group:
             raise InputError("cannot multiply elements of different groups")
-        return Element(self.group, _compose(self.perm, other.perm))
+        return Element(self.group, self.group._act(self.reduced_word(), other.weight))
 
     def inverse(self) -> "Element":
-        return Element(self.group, _invert(self.perm))
+        g = self.group
+        return Element(g, g._act(self.reduced_word()[::-1], g._rho))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)
             and other.group is self.group
-            and other.perm == self.perm
+            and other.weight == self.weight
         )
 
     def __lt__(self, other: "Element") -> bool:
@@ -329,13 +288,16 @@ class Element:
 
         In an enumerated group this is the index order.
         """
+        if not isinstance(other, Element):
+            return NotImplemented
         g = self.group
-        if other.group is g and g._enumerated:
+        check_same_group(g, other)
+        if g._enumerated:
             return self.index < other.index
         return (self.length, self.reduced_word()) < (other.length, other.reduced_word())
 
     def __hash__(self) -> int:
-        return hash(self.perm)
+        return hash(self.weight)
 
     def __repr__(self) -> str:
         word = "".join(str(i) for i in self.reduced_word()) or "e"

@@ -1,10 +1,11 @@
 """Shared fixtures-free helpers for the test suite."""
 
+from functools import lru_cache
 from itertools import chain, combinations
 
-from singbgg import CartanType, build_group, kl_table, klpoly
+from singbgg import CartanType, build_group, kl_table, klpoly, positive_roots
 from singbgg.bruhat import down_masks, iter_indices
-from singbgg.weyl import _compose, _invert, _num_inversions
+from singbgg.cartan import simple_reflection
 
 _TABLES = {}
 
@@ -100,57 +101,146 @@ RANK_LE_3 = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3),
              ("C", 3), ("D", 3)]
 
 
+# -- signed-root permutation model ---------------------------------------------
+#
+# An oracle independent of weyl.py, built from the public positive_roots and
+# simple_reflection only.  An element is the tuple p with p[k] = +-(j+1) when
+# it sends the k-th positive root to plus or minus the j-th.
+
+
+def _compose(pu, pv):
+    """Permutation of u*v, where (u*v)(beta) = u(v(beta))."""
+    return tuple(pu[a - 1] if a > 0 else -pu[-a - 1] for a in pv)
+
+
+def _invert(p):
+    out = [0] * len(p)
+    for i, a in enumerate(p, start=1):
+        if a > 0:
+            out[a - 1] = i
+        else:
+            out[-a - 1] = -i
+    return tuple(out)
+
+
+def _num_inversions(p):
+    return sum(1 for a in p if a < 0)
+
+
+class RootModel:
+    """The Weyl group of a Cartan type acting on its positive roots."""
+
+    def __init__(self, cartan):
+        a = cartan.cartan_matrix()
+        n = cartan.rank
+        self.roots = positive_roots(cartan)
+        index = {r: k for k, r in enumerate(self.roots)}
+        # s_i sends alpha_i, the i-th root, to -alpha_i and permutes the rest
+        self.gens = [
+            tuple(-(i + 1) if k == i else index[simple_reflection(a, i, beta)] + 1
+                  for k, beta in enumerate(self.roots))
+            for i in range(n)
+        ]
+        self.identity = tuple(range(1, len(self.roots) + 1))
+        # beta in fundamental-weight coordinates: <beta, alpha_j^vee> = sum_i beta_i a[j][i]
+        self.root_weights = [tuple(sum(a[j][i] * b for i, b in enumerate(beta))
+                                   for j in range(n)) for beta in self.roots]
+
+    def of_word(self, word):
+        """The product of the listed simple reflections, left to right."""
+        p = self.identity
+        for s in word:
+            p = _compose(p, self.gens[s - 1])
+        return p
+
+    def word(self, p):
+        """ShortLex-minimal reduced word: repeatedly strip the smallest left
+        descent s_i, the one with p^-1 sending alpha_i negative."""
+        word = []
+        while True:
+            inv = _invert(p)
+            i = next((i for i in range(len(self.gens)) if inv[i] < 0), None)
+            if i is None:
+                return tuple(word)
+            word.append(i + 1)
+            p = _compose(self.gens[i], p)
+
+    def weight(self, p):
+        """w(rho) = rho - (sum of the roots beta > 0 with w^-1 beta < 0), in
+        fundamental-weight coordinates."""
+        mu = [1] * len(self.gens)
+        for j, a in enumerate(_invert(p)):
+            if a < 0:
+                mu = [m - b for m, b in zip(mu, self.root_weights[j])]
+        return tuple(mu)
+
+
+@lru_cache(maxsize=None)
+def root_model(cartan):
+    """The permutation model of the Cartan type, built once."""
+    return RootModel(cartan)
+
+
+def index_perms(g):
+    """The permutation of each index of g, read off its reduced word."""
+    m = root_model(g.cartan)
+    return [m.of_word(w) for w in g._words]
+
+
 def subword_leq(u, v):
     """Bruhat order oracle: u <= v iff u is a product of a subword of a fixed
     reduced word of v (dynamic programming over prefixes)."""
-    g = u.group
-    reach = {g.identity_perm}
+    m = root_model(u.group.cartan)
+    reach = {m.identity}
     for s in v.reduced_word():
-        gp = g.generator_perms[s - 1]
-        reach |= {_compose(p, gp) for p in reach}
-    return u.perm in reach
+        reach |= {_compose(p, m.gens[s - 1]) for p in reach}
+    return m.of_word(u.reduced_word()) in reach
 
 
 def shortlex_tables(g):
-    """Group tables by closure and a sort on (length, ShortLex word), the
-    definition the layered enumeration must reproduce.
+    """Group tables by closure in the permutation model and a sort on
+    (length, ShortLex word), the definition the layered enumeration must
+    reproduce.
 
-    Returns (perms, words, lengths, lmul, rmul, inv) in the sorted indexing.
+    Returns (weights, words, lengths, lmul, rmul, inv) in the sorted indexing.
     """
-    seen = {g.identity_perm}
-    frontier = [g.identity_perm]
+    m = root_model(g.cartan)
+    seen = {m.identity}
+    frontier = [m.identity]
     while frontier:
         p = frontier.pop()
-        for gp in g.generator_perms:
+        for gp in m.gens:
             q = _compose(p, gp)
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
-    decorated = sorted((_num_inversions(p), g._shortlex_word(p), p) for p in seen)
+    decorated = sorted((_num_inversions(p), m.word(p), p) for p in seen)
     perms = [p for _, _, p in decorated]
     index = {p: i for i, p in enumerate(perms)}
     words = [w for _, w, _ in decorated]
     lengths = [l for l, _, _ in decorated]
-    lmul = [[index[_compose(gp, p)] for p in perms] for gp in g.generator_perms]
-    rmul = [[index[_compose(p, gp)] for p in perms] for gp in g.generator_perms]
+    lmul = [[index[_compose(gp, p)] for p in perms] for gp in m.gens]
+    rmul = [[index[_compose(p, gp)] for p in perms] for gp in m.gens]
     inv = [index[_invert(p)] for p in perms]
-    return perms, words, lengths, lmul, rmul, inv
+    return [m.weight(p) for p in perms], words, lengths, lmul, rmul, inv
 
 
 def reflection_covers(g):
     """Upper and lower covers by definition: u < t*u with l(t*u) = l(u) + 1
     for a reflection t, rows sorted.  The reflections are the conjugates
     w*s*w^-1 of the simple reflections, one per positive root."""
+    m, perms = root_model(g.cartan), index_perms(g)
+    index = {p: i for i, p in enumerate(perms)}
     reflections = {_compose(_compose(p, gp), _invert(p))
-                   for p in g._perms for gp in g.generator_perms}
-    assert len(reflections) == len(g.positive_roots)
+                   for p in perms for gp in m.gens}
+    assert len(reflections) == len(m.roots)
     upper = [[] for _ in range(g.order)]
     lower = [[] for _ in range(g.order)]
-    for i, p in enumerate(g._perms):
+    for i, p in enumerate(perms):
         for t in reflections:
             q = _compose(t, p)
-            if _num_inversions(q) == g._lengths[i] + 1:
-                j = g._index[q]
+            if _num_inversions(q) == _num_inversions(p) + 1:
+                j = index[q]
                 upper[i].append(j)
                 lower[j].append(i)
     return [sorted(r) for r in upper], [sorted(r) for r in lower]

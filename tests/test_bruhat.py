@@ -5,7 +5,15 @@ from itertools import compress
 
 import pytest
 
-from helpers import get_group, reflection_covers, subword_leq
+from helpers import (
+    _compose,
+    _invert,
+    _num_inversions,
+    get_group,
+    reflection_covers,
+    root_model,
+    subword_leq,
+)
 from singbgg import (
     CartanType,
     build_group,
@@ -80,11 +88,36 @@ def test_order_queries_above_the_budget():
             with pytest.raises(BudgetError):
                 query()
         assert u.reduced_word() == fu.reduced_word()
-        assert u.inverse().perm == fu.inverse().perm
-        assert hat_map(u).perm == hat_map(fu).perm
+        assert u.inverse().weight == fu.inverse().weight
+        assert hat_map(u).weight == hat_map(fu).weight
         for wv in words:
-            assert (u * small.from_word(wv)).perm == (fu * full.from_word(wv)).perm
-    assert small.longest_element().perm == full.longest_element().perm
+            assert (u * small.from_word(wv)).weight == (fu * full.from_word(wv)).weight
+    assert small.longest_element().weight == full.longest_element().weight
+    # E6, E7 and E8 against the signed-root permutation model, on seeded
+    # words that need not be reduced
+    rng = random.Random(19)
+    for rank in (6, 7, 8):
+        g = build_group(CartanType("E", rank))
+        assert not g.enumerated
+        with pytest.raises(BudgetError):
+            leq(g.identity, g.identity)
+        m = root_model(g.cartan)
+        w0 = g.longest_element()
+        w0p = m.of_word(w0.reduced_word())
+        assert w0.length == _num_inversions(w0p) == len(m.roots)
+        assert w0 * w0 == g.identity
+        words = [tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 40)))
+                 for _ in range(12)]
+        for wu in words:
+            u, pu = g.from_word(wu), m.of_word(wu)
+            assert u.weight == m.weight(pu)
+            assert u.reduced_word() == m.word(pu)
+            assert u.length == _num_inversions(pu)
+            assert g.from_word(wu + (rank, rank)) == u
+            assert u.inverse().weight == m.weight(_invert(pu))
+            assert hat_map(u).weight == m.weight(_compose(_invert(pu), w0p))
+            for wv in words:
+                assert (u * g.from_word(wv)).weight == m.weight(_compose(pu, m.of_word(wv)))
 
 
 def test_iter_indices_dense_and_sparse():

@@ -37,22 +37,27 @@ def test_package_is_standard_library_only():
     assert foreign == set()
 
 
-def test_permutation_helpers_stay_in_weyl():
-    # Inside the package elements are indices into the group's tables; only
-    # weyl.py composes, inverts or counts on signed-root permutations.
+def test_no_permutation_helpers_in_src():
+    # Elements are weights w(rho) and, inside the package, indices into the
+    # group's tables: no module defines or imports the signed-root
+    # permutation helpers, and only weyl.py applies the weight action.
     helpers = {"_compose", "_invert", "_num_inversions"}
-    users = set()
+    found, reflectors = set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.FunctionDef):
+                names = {node.name}
+            elif isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                names = {node.attr if isinstance(node, ast.Attribute) else node.id}
             else:
                 continue
-            if names & helpers:
-                users.add(path.name)
-    assert users - {"weyl.py"} == set()
+            found |= {f"{path.name}: {n}" for n in names & helpers}
+            if "_reflect" in names and not isinstance(node, ast.FunctionDef):
+                reflectors.add(path.name)
+    assert found == set()
+    assert reflectors == {"weyl.py"}
 
 
 def test_no_hand_written_immutability():

@@ -2,10 +2,9 @@
 
 import pytest
 
-from helpers import get_group, shortlex_tables
+from helpers import _compose, _invert, get_group, index_perms, root_model, shortlex_tables
 from singbgg import CartanType, build_group, make_block, positive_roots
 from singbgg.errors import BudgetError, ConfigurationError, InputError
-from singbgg.weyl import _compose
 
 
 def test_group_orders():
@@ -109,22 +108,34 @@ def test_descent_sets():
     assert _descents(g._lmul, w0.index) == {1, 2}
     assert _descents(g._rmul, w0.index) == {1, 2}
     # the tables agree with the root action: s is a right descent of w iff
-    # w sends alpha_s negative, a left descent iff w^-1 does
+    # w sends alpha_s negative, a left descent iff w^-1 does, and that holds
+    # iff the s-th coordinate of w(rho) is negative
     for fam, rank in [("B", 3), ("G", 2), ("D", 4), ("F", 4)]:
         g = get_group(fam, rank)
-        for w in g.elements():
+        for w, p in zip(g.elements(), index_perms(g)):
             i = w.index
-            assert _descents(g._rmul, i) == {s for s in range(1, rank + 1) if w.perm[s - 1] < 0}
+            assert _descents(g._rmul, i) == {s for s in range(1, rank + 1) if p[s - 1] < 0}
             assert _descents(g._lmul, i) == _descents(g._rmul, g._inv[i])
             assert _descents(g._lmul, i) == {
-                s for s in range(1, rank + 1) if w.inverse().perm[s - 1] < 0}
+                s for s in range(1, rank + 1) if _invert(p)[s - 1] < 0}
+            assert _descents(g._lmul, i) == {
+                s for s in range(1, rank + 1) if w.weight[s - 1] < 0}
+
+
+@pytest.mark.parametrize("fam,rank", [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4)])
+def test_weight_is_the_image_of_rho(fam, rank):
+    # rho - w(rho) is the sum of the positive roots that w^-1 sends negative
+    g = get_group(fam, rank)
+    m = root_model(g.cartan)
+    for w, p in zip(g.elements(), index_perms(g)):
+        assert w.weight == m.weight(p)
 
 
 def test_longest_element():
     for fam, rank in [("A", 3), ("B", 3), ("D", 4), ("G", 2)]:
         g = get_group(fam, rank)
         w0 = g.longest_element()
-        assert w0.length == len(g.positive_roots)
+        assert w0.length == len(positive_roots(g.cartan))
         assert w0 * w0 == g.identity
         assert max(w.length for w in g.elements()) == w0.length
 
@@ -134,23 +145,26 @@ def test_longest_element_is_last_index():
         g = get_group(fam, rank)
         w0 = g.longest_element()
         assert w0.index == g.order - 1
-        assert all(a < 0 for a in w0.perm)  # every positive root sent negative
+        assert w0.weight == (-1,) * rank  # w0(rho) = -rho
+        # every positive root sent negative
+        assert all(a < 0 for a in root_model(g.cartan).of_word(w0.reduced_word()))
         assert g.longest_element() == w0
 
 
 def test_longest_element_without_enumeration():
     small = build_group(CartanType("B", 3), budget=10)
     assert not small.enumerated
-    assert small.longest_element().perm == get_group("B", 3).longest_element().perm
+    assert small.longest_element().weight == get_group("B", 3).longest_element().weight
     e6 = build_group(CartanType("E", 6))
-    assert e6.longest_element().length == len(e6.positive_roots) == 36
+    assert e6.longest_element().length == len(positive_roots(e6.cartan)) == 36
 
 
 def test_rmul_w0_indices():
     for fam, rank in [("B", 3), ("A", 4), ("B", 4), ("D", 4), ("F", 4)]:
         g = get_group(fam, rank)
-        w0 = g._perms[-1]
-        assert g.rmul_w0_indices() == [g._index[_compose(p, w0)] for p in g._perms]
+        perms = index_perms(g)
+        index = {p: i for i, p in enumerate(perms)}
+        assert g.rmul_w0_indices() == [index[_compose(p, perms[-1])] for p in perms]
 
 
 def test_element_order_matches_index_order():
@@ -161,7 +175,7 @@ def test_element_order_matches_index_order():
     assert sorted(rev, key=lambda w: (w.length, w.reduced_word())) == els
     small = build_group(CartanType("B", 3), budget=10)  # not enumerated
     ws = [small.from_word(w.reduced_word()) for w in rev]
-    assert [w.perm for w in sorted(ws)] == [w.perm for w in els]
+    assert [w.weight for w in sorted(ws)] == [w.weight for w in els]
 
 
 def test_inverse_and_multiplication():
@@ -183,7 +197,7 @@ def test_index_order_is_length_shortlex():
 @pytest.mark.parametrize("fam,rank", [("G", 2), ("A", 4), ("B", 4), ("D", 4), ("F", 4)])
 def test_layered_tables_match_shortlex_sort(fam, rank):
     g = get_group(fam, rank)
-    tables = (g._perms, g._words, g._lengths, g._lmul, g._rmul, g._inv)
+    tables = (g._weights, g._words, g._lengths, g._lmul, g._rmul, g._inv)
     assert tables == shortlex_tables(g)
 
 
@@ -209,6 +223,19 @@ def test_mixed_groups_rejected():
     b = get_group("B", 2).identity
     with pytest.raises(InputError):
         a * b
+
+
+def test_order_across_groups_rejected():
+    a3, b3 = get_group("A", 3), get_group("B", 3)
+    u, v = a3.from_word([1, 2]), b3.from_word([1])
+    for compare in (lambda: u < v, lambda: u <= v, lambda: u > v, lambda: u >= v):
+        with pytest.raises(InputError):
+            compare()
+    assert u != v and not u == v
+    for compare in (lambda: u < 5, lambda: u >= 5, lambda: 5 > u):
+        with pytest.raises(TypeError):
+            compare()
+    assert u != 5
 
 
 def test_generator_index_validation():
