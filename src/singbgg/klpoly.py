@@ -14,12 +14,17 @@ descents and ends at an element maximal on both sides, which is m.  Every
 step of a climb stays below w by the lifting property, as w is maximal in
 its own double coset.
 
-Column w is one pass over the y <= w from the top index down: y = m runs
-the recursion, any other y copies the entry at m, final already as m has the
-larger index.  F4 has 23,920 extremal pairs among its 396,809 comparable
-pairs.  w's row of nonzero mu(z, w), read by the recursion of later columns,
-starts as its lower covers (P = 1, mu = 1); the recursion adds the stored
-entries of top degree.  A copy is never one, as l(m) > l(y).
+Column w runs the recursion on the extremal y <= w alone, the y with every
+s in I as a left and every t in J as a right descent: the y <= w in the AND
+of those descent masks.  F4 has 23,920 extremal pairs among its 396,809
+comparable pairs.  Every read of column w goes through one rule: P_{y,w} is
+the entry at cl[cr[y]], where (cl, cr) = _keys[w] are the climb lists for I
+and J, shared by every w with the same descent set on that side.  Each climb
+list is checked once, when it is built, never to lower the length, so the
+degree bound checked at m holds at every y that reads m.  w's row of nonzero
+mu(z, w), read by the recursion of later columns, starts as its lower covers
+(P = 1, mu = 1); the recursion adds the stored entries of top degree.  A
+non-extremal y has none, as l(m) > l(y).
 
 Inside the table every polynomial is one Python int, its value at
 q = 2**_WIDTH (Kronecker substitution).  This is an exact ring map from Z[q]
@@ -31,16 +36,20 @@ guards raise AssertionError before a value could leave that range: the
 build checks each column's recursion sum, and every table checks once that
 a signed sum of distinct entries, at most one per element of W, still fits.
 
-Storage is sparse: column w keeps only the y with P_{y,w} other than 0 and
-1, and the 0/1 distinction is read off the Bruhat-order bitmasks.  Stored
+Storage is sparse: a built column w keeps only the double-coset maxima m
+with P_{m,w} other than 0 and 1 (F4: 15,622 entries, for 231,036 such y),
+and the 0/1 distinction is read off the Bruhat-order bitmasks.  Stored
 values are interned, so equal polynomials share one int and the table keeps
 a pool of the distinct ones with their coefficient tuples.  Tuples and
 IntPolynomial are built only when a polynomial leaves the module.
 
-The binary cache stores each column's support as a bitmask over element
-indices.  A loaded table validates the whole file at load time, each mask
+The binary cache stores the full columns, each column's support as a
+bitmask over element indices; save_table expands a built column to the
+order ideal below its stored entries and reads each y there through the
+read rule.  A loaded table validates the whole file at load time, each mask
 against the Bruhat order, but keeps the masks and pool indices as they are;
-a column's dict is built the first time something reads that column.
+a column's dict is built the first time something reads that column, and
+its keys are the identity.
 
 The singular polynomials are alternating sums of ordinary entries over a
 coset of a parabolic subgroup, read off the block's coset table by one
@@ -57,6 +66,7 @@ import sys
 import zlib
 from array import array
 from itertools import accumulate
+from operator import lt
 
 from .bruhat import cover_graph, down_masks, index_mask, iter_indices, leq
 from .errors import DomainError, InputError
@@ -166,14 +176,18 @@ class KLTable:
     """Complete Kazhdan-Lusztig table for a fully enumerated group.
 
     Entries are read by element index pairs (y, w); pairs with y not below w
-    read as 0, comparable pairs as 1 unless column w stores them.  _cols[w]
-    maps y to P_{y,w} packed at q = 2**_WIDTH (a list for a built table, a
-    _Columns for a loaded one), _stored counts the stored entries, _pool
-    maps each distinct stored value to its coefficient tuple, and _cmax is
-    the largest coefficient in absolute value (at least 1).  A signed sum
-    reads at most one entry per element of W, so _cmax * |W| bounds its
-    coefficients; the table checks that bound once, and the sums do not
-    check it again.
+    read as 0, a comparable pair as _cols[w].get(cl[cr[y]], 1) with
+    (cl, cr) = _keys[w].  _cols[w] maps stored y to P_{y,w} packed at
+    q = 2**_WIDTH (a list for a built table, a _Columns for a loaded one).
+    A built table stores the double-coset maxima and keys w by its climb
+    lists; a loaded one stores the full columns and keys every w by the
+    identity.  _stored, which len() returns, counts the stored entries: the
+    extremal ones for a built table, every entry other than 0 and 1 for a
+    loaded one; _columns() gives the full columns of either.  _pool maps each
+    distinct stored value to its coefficient tuple, and _cmax is the largest
+    coefficient in absolute value (at least 1).  A signed sum reads at most
+    one entry per element of W, so _cmax * |W| bounds its coefficients; the
+    table checks that bound once, and the sums do not check it again.
     """
 
     def __init__(self, group: WeylGroup, _entries: tuple | None = None):
@@ -182,10 +196,11 @@ class KLTable:
         self._down = down_masks(group)
         if _entries is None:
             _entries = self._build()
-        self._cols, self._stored, self._pool, self._cmax = _entries
+        self._cols, self._keys, self._stored, self._pool, self._cmax = _entries
         _check_width(self._cmax * group.order)
 
-    def _build(self) -> tuple[list[dict[int, int]], int, dict[int, Coeffs], int]:
+    def _build(self) -> tuple[list[dict[int, int]], list[tuple[list[int], list[int]]],
+                              int, dict[int, Coeffs], int]:
         g = self.group
         width = _WIDTH
         down = self._down
@@ -194,11 +209,26 @@ class KLTable:
         lmul, rmul = g._lmul, g._rmul
         n = g.order
         gens = range(g.rank)
-        # climbs to the longest element of W_I y (of y W_J), by descent set
         ident = list(range(n))
+        # masks of the y with s y < y (y s < y)
+        left_desc = [index_mask(y for y in ident if row[y] < y) for row in lmul]
+        right_desc = [index_mask(y for y in ident if row[y] < y) for row in rmul]
+        # climbs to the longest element of W_I y (of y W_J), by descent set
         left_climbs: dict[int, list[int]] = {}
         right_climbs: dict[int, list[int]] = {}
+
+        def climb(rows, mask, climbs):
+            c = climbs.get(mask)
+            if c is None:
+                c = climbs[mask] = _climb(rows, mask, ident)
+                # so the degree bound checked at c[y] holds at every y reading it
+                if any(map(lt, map(lengths.__getitem__, c), lengths)):
+                    raise AssertionError("a climb went down in length")
+            return c
+
         cols: list[dict[int, int]] = [{} for _ in range(n)]
+        # keys[w] = (cl, cr): column w is read at cl[cr[y]]; e's column is empty
+        keys = [(ident, ident)] * n
         # mu_rows[w]: the (z, mu(z, w)) with mu != 0, the covers first
         mu_rows = [[(zi, 1) for zi in low] for low in cover_graph(g).lower]
         # distinct stored value -> (the shared int, degree, leading coefficient)
@@ -212,48 +242,37 @@ class KLTable:
             sl = lmul[s]
             vi = sl[wi]
             col_v = cols[vi]
+            clv, crv = keys[vi]
             down_v = down[vi]
             # mu(z, v) q^((l(w) - l(z)) / 2) for the z < v with s z < z
             zmu = []
             mu_sum = 0
             for zi, mu in mu_rows[vi]:
                 if sl[zi] < zi:
-                    zmu.append((down[zi], cols[zi], mu << width * ((lw - lengths[zi]) // 2)))
+                    zmu.append((down[zi], cols[zi], *keys[zi],
+                                mu << width * ((lw - lengths[zi]) // 2)))
                     mu_sum += mu
             _check_width((2 + mu_sum) * cmax)
-            # cl[cr[y]] is the maximum m of W_I y W_J for I = D_L(w) and
-            # J = D_R(w), extremal and below w (see the module docstring)
+            # the extremal y <= w: D_L(w) in D_L(y) and D_R(w) in D_R(y)
             left = right = 0
+            ext = down[wi]
             for t in gens:
                 if lmul[t][wi] < wi:
                     left |= 1 << t
+                    ext &= left_desc[t]
                 if rmul[t][wi] < wi:
                     right |= 1 << t
-            cl = left_climbs.get(left)
-            if cl is None:
-                cl = left_climbs[left] = _climb(lmul, left, ident)
-            cr = right_climbs.get(right)
-            if cr is None:
-                cr = right_climbs[right] = _climb(rmul, right, ident)
+                    ext &= right_desc[t]
+            keys[wi] = (climb(lmul, left, left_climbs), climb(rmul, right, right_climbs))
             col = cols[wi]
             row_mu = mu_rows[wi]
-            # top-down, so m > y is final when y copies it
-            for yi in reversed([*iter_indices(down[wi])]):
-                m = cl[cr[yi]]
-                if m != yi:
-                    # P_{y,w} = P_{m,w}; l(m) > l(y), so never of top degree
-                    p = col.get(m)
-                    if p is not None:
-                        if 2 * seen[p][1] >= lw - lengths[yi]:
-                            raise AssertionError("KL degree bound violated")
-                        col[yi] = p
-                    continue
-                p = col_v.get(sl[yi], 1)  # s y <= v by the lifting property
+            for yi in iter_indices(ext):
+                p = col_v.get(clv[crv[sl[yi]]], 1)  # s y <= v by the lifting property
                 if down_v >> yi & 1:
-                    p += col_v.get(yi, 1) << width
-                for down_z, col_z, mq in zmu:
+                    p += col_v.get(clv[crv[yi]], 1) << width
+                for down_z, col_z, clz, crz, mq in zmu:
                     if down_z >> yi & 1:
-                        p -= mq * col_z.get(yi, 1)
+                        p -= mq * col_z.get(clz[crz[yi]], 1)
                 if p == 1:
                     continue
                 e = seen.get(p)
@@ -271,7 +290,7 @@ class KLTable:
                 col[yi] = p
                 if 2 * deg == d - 1:
                     row_mu.append((yi, lead))
-        return cols, sum(map(len, cols)), pool, cmax
+        return cols, keys, sum(map(len, cols)), pool, cmax
 
     # -- reads -----------------------------------------------------------------
 
@@ -280,7 +299,8 @@ class KLTable:
             return _ONE
         if not (self._down[wi] >> yi & 1):
             return ()
-        p = self._cols[wi].get(yi)
+        cl, cr = self._keys[wi]
+        p = self._cols[wi].get(cl[cr[yi]])
         return _ONE if p is None else self._pool[p]
 
     def polynomial(self, y: Element, w: Element) -> IntPolynomial:
@@ -289,8 +309,25 @@ class KLTable:
         return IntPolynomial(self.polynomial_by_index(y.index, w.index))
 
     def _columns(self):
-        """The column dicts {y: packed P_{y,w}} in index order of w."""
-        return map(self._cols.__getitem__, range(self.group.order))
+        """The full columns in index order of w, each as (mask, ps): the
+        bitmask of the y with P_{y,w} other than 0 and 1, and their packed
+        values in increasing y.
+
+        Those y form the order ideal below the stored ones: every y reads
+        its key m >= y, and P_{y,w} - P_{z,w} has nonnegative coefficients
+        for y <= z <= w (Braden and MacPherson, Math. Ann. 321, 2001), so
+        nothing below an entry other than 1 reads 1.
+        """
+        down = self._down
+        for wi, col in enumerate(map(self._cols.__getitem__, range(self.group.order))):
+            cl, cr = self._keys[wi]
+            mask = 0
+            for yi in col:
+                mask |= down[yi]
+            ps = [*map(col.get, map(cl.__getitem__, map(cr.__getitem__, iter_indices(mask))))]
+            if None in ps:
+                raise AssertionError("a KL polynomial below one other than 1 is 1")
+            yield mask, ps
 
     def __len__(self) -> int:
         return self._stored
@@ -370,10 +407,11 @@ def _coset_sum(t: KLTable, terms, zi: int) -> int:
     """
     down_z = t._down[zi]
     col = t._cols[zi]
+    cl, cr = t._keys[zi]
     acc = 0
     for yi, sign in terms:
         if down_z >> yi & 1:
-            acc += sign * col.get(yi, 1)
+            acc += sign * col.get(cl[cr[yi]], 1)
     return acc
 
 
@@ -432,12 +470,13 @@ def save_table(t: KLTable, path) -> None:
 
     g = t.group
     nbytes = (g.order + 7) // 8
-    pool: dict[int, int] = {}
-    masks, ks = bytearray(), []
-    for col in t._columns():
-        ys = sorted(col)
-        masks += index_mask(ys).to_bytes(nbytes, "little")
-        ks.extend(pool.setdefault(col[yi], len(pool)) for yi in ys)
+    masks, vals = bytearray(), []
+    for mask, ps in t._columns():
+        masks += mask.to_bytes(nbytes, "little")
+        vals += ps
+    # pool indices in order of first use, by (w, y)
+    pool = {v: k for k, v in enumerate(dict.fromkeys(vals))}
+    ks = [*map(pool.__getitem__, vals)]
     payload = bytearray(struct.pack("<II", len(pool), len(ks)))
     for v in pool:
         p = t._pool[v]
@@ -536,6 +575,8 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
     cols = _Columns(masks, ks, bounds, values)
     cmax = max((abs(c) for p in pool for c in p), default=1)
     try:
-        return KLTable(g, _entries=(cols, n_entries, dict(zip(values, pool)), cmax))
+        ident = list(range(n))
+        return KLTable(g, _entries=(cols, [(ident, ident)] * n, n_entries,
+                                    dict(zip(values, pool)), cmax))
     except AssertionError:  # the table's width check
         raise InputError(f"{path}: corrupt cache file (coefficient out of range)") from None

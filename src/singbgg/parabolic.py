@@ -233,6 +233,10 @@ def singularity_from_weight(cartan: CartanType, coords) -> frozenset[int]:
     The coordinates are rationals in the usual epsilon basis (n+1 of them for
     A_n, n for B_n, C_n, D_n), paired with the simple coroots e_i - e_{i+1}
     and, for the last node, 2e_n (B), e_n (C) or e_{n-1} + e_n (D).
+
+    The weight must be integral: every pairing an integer, as for
+    (5/2, 3/2, 1/2) in B3.  The block of a non-integral weight belongs to
+    its integral Weyl group, not to W, so such a weight raises InputError.
     """
     from fractions import Fraction  # imported on use: it imports decimal
 
@@ -262,6 +266,11 @@ def singularity_from_weight(cartan: CartanType, coords) -> frozenset[int]:
         pairings.append(v[-2] + v[-1])
     S = set()
     for i, pairing in enumerate(pairings, start=1):
+        if pairing.denominator != 1:
+            raise InputError(
+                f"weight is not integral: <lambda+rho, alpha_{i}> = {pairing}; "
+                "its block belongs to a smaller integral Weyl group"
+            )
         if pairing < 0:
             raise InputError(f"weight is not dominant: <lambda+rho, alpha_{i}> < 0")
         if pairing == 0:

@@ -340,4 +340,34 @@ def decoded_polys(t):
     """{(y, w): coefficients} of the entries a KLTable stores, unpacked;
     reads every column, through the table's iteration path."""
     return {(y, w): klpoly._unpack(p)
-            for w, col in enumerate(t._columns()) for y, p in col.items()}
+            for w, (mask, ps) in enumerate(t._columns())
+            for y, p in zip(iter_indices(mask), ps)}
+
+
+def double_coset_maxima(g, left, right):
+    """top[y] is the longest element of W_I y W_J, where I (J) is the set of
+    generators s with bit s of left (right) set.
+
+    Each double coset is found by closing {y} under y -> s y for s in I and
+    y -> y t for t in J with the group's multiplication rows, independently
+    of klpoly's climbs; its longest element must be unique.
+    """
+    rows = ([g._lmul[s] for s in range(g.rank) if left >> s & 1]
+            + [g._rmul[t] for t in range(g.rank) if right >> t & 1])
+    lengths = g._lengths
+    top = [-1] * g.order
+    for y in range(g.order):
+        if top[y] >= 0:
+            continue
+        coset, todo = {y}, [y]
+        while todo:
+            x = todo.pop()
+            for row in rows:
+                if row[x] not in coset:
+                    coset.add(row[x])
+                    todo.append(row[x])
+        longest = max(map(lengths.__getitem__, coset))
+        (m,) = (x for x in coset if lengths[x] == longest)
+        for x in coset:
+            top[x] = m
+    return top

@@ -102,7 +102,7 @@ def test_cli_import_leaves_out_deferred_modules():
 def test_deferred_imports_work_in_a_fresh_process(tmp_path):
     out = _fresh("-c", "from singbgg import CartanType, singularity_from_weight; "
                  "print(sorted(singularity_from_weight(CartanType('A', 3), "
-                 "['3/2', '1/2', '1/2', -1])))")
+                 "['3/2', '1/2', '1/2', '-1/2'])))")
     assert out == "[2]\n"
     out = _fresh("-m", "singbgg.cli", "mobius", "-t", "B", "-r", "3", "-s", "2,3",
                  "--w", "3232", "--x", "13232", "-f", "json")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import properties
-from helpers import decoded_polys, get_group, get_table, tuple_kl_polys
+from helpers import decoded_polys, double_coset_maxima, get_group, get_table, tuple_kl_polys
 from singbgg import (
     IntPolynomial,
     interval,
@@ -99,8 +99,11 @@ def test_packed_table_equals_tuple_recursion(fam, rank):
 
 
 def test_distinct_counts():
+    # a built table stores P_{m,w} at the double-coset maxima m only; the
+    # full columns read through the keys hold every entry other than 0 and 1
     t = get_table("F", 4)
-    assert (len(t), len(t._pool), t._cmax) == (231036, 312, 12)
+    assert (len(t), len(t._pool), t._cmax) == (15622, 312, 12)
+    assert sum(len(ps) for _, ps in t._columns()) == 231036
 
 
 def _descent_masks(rows):
@@ -126,16 +129,16 @@ def test_climbs_reach_the_coset_maximum(fam, rank):
 
 
 def test_extremal_recursion_work_count(monkeypatch):
-    # _build walks the y <= w of each column top-down and runs the recursion
-    # only where y = cl[cr[y]], the maximum of W_I y W_J for I = D_L(w) and
-    # J = D_R(w); every other y copies that maximum.  F4: 23,919 recursion
-    # entries for w > e, 23,920 extremal pairs with (e, e), against 198,404
-    # when every y with s y < y for one left descent s of w went through the
-    # recursion.  The runs are counted at the recursion's first line.
+    # _build runs the recursion only on the y <= w with y = cl[cr[y]], the
+    # maximum of W_I y W_J for I = D_L(w) and J = D_R(w), and stores nothing
+    # at the other y.  F4: 23,919 recursion entries for w > e, 23,920
+    # extremal pairs with (e, e), against 198,404 when every y with s y < y
+    # for one left descent s of w went through the recursion.  The runs are
+    # counted at the recursion's first line.
     g = get_group("F", 4)
     build = klpoly.KLTable._build
     lines, first = inspect.getsourcelines(build)
-    line = first + next(i for i, text in enumerate(lines) if "p = col_v.get(sl[yi], 1)" in text)
+    line = first + next(i for i, text in enumerate(lines) if "p = col_v.get(clv[crv[sl[yi]]], 1)" in text)
     runs = 0
 
     def count_line(frame, event, arg):
@@ -177,6 +180,54 @@ def test_extremal_recursion_work_count(monkeypatch):
         single += sum(left[yi] >> s & 1 for yi in ys)
     assert runs == extremal == 23_919
     assert single == 198_404
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 4), ("F", 4)])
+def test_read_key_is_the_double_coset_maximum(fam, rank):
+    # column w is read at cl[cr[y]], which must be the maximum of
+    # W_I y W_J for I = D_L(w) and J = D_R(w); a built column stores only
+    # such maxima
+    g = get_group(fam, rank)
+    t = get_table(fam, rank)
+    lengths = g._lengths
+    tops = {}
+    for wi, down in enumerate(down_masks(g)):
+        left, right = (sum(1 << s for s in range(rank) if lengths[row[s][wi]] < lengths[wi])
+                       for row in (g._lmul, g._rmul))
+        if (left, right) not in tops:
+            tops[left, right] = double_coset_maxima(g, left, right)
+        top = tops[left, right]
+        cl, cr = t._keys[wi]
+        ys = list(iter_indices(down))
+        assert [cl[cr[yi]] for yi in ys] == [top[yi] for yi in ys]
+        assert all(cl[cr[yi]] == yi for yi in t._cols[wi])
+
+
+def test_climb_going_down_is_rejected(monkeypatch):
+    # the degree bound is checked at cl[cr[y]] only, so it covers y only
+    # while a climb never lowers the length
+    climb = klpoly._climb
+
+    def lowered(rows, gens, ident):
+        c = climb(rows, gens, ident)
+        c[-1] = 0
+        return c
+
+    monkeypatch.setattr(klpoly, "_climb", lowered)
+    with pytest.raises(AssertionError, match="a climb went down in length"):
+        kl_table(get_group("A", 3))
+
+
+def test_columns_reject_a_one_below_a_stored_entry():
+    # the full columns are the order ideal below the stored entries, as KL
+    # polynomials only grow going down; a 1 inside it is reported, not saved
+    t = kl_table(get_group("B", 3))
+    down = t._down
+    wi, low = next((wi, y) for wi, col in enumerate(t._cols) for m in col for y in col
+                   if y != m and down[m] >> y & 1)
+    del t._cols[wi][low]
+    with pytest.raises(AssertionError, match="below one other than 1 is 1"):
+        list(t._columns())
 
 
 def test_pack_round_trip():
@@ -367,7 +418,8 @@ def test_loaded_table_decodes_columns_on_first_read(tmp_path):
     save_table(get_table("F", 4), path)
     t = load_table(g, path)
     assert len(t._cols) == 0  # decoded columns so far
-    assert len(t) == len(get_table("F", 4)) == 231036
+    # a loaded table stores the full columns
+    assert len(t) == sum(len(ps) for _, ps in get_table("F", 4)._columns()) == 231036
     assert len(t._cols) == 0
     y, w = g.from_word([1]), g.from_word([2, 3, 2, 1, 2, 3, 2])
     assert t.polynomial(y, w) == get_table("F", 4).polynomial(y, w)
@@ -383,12 +435,19 @@ def test_loaded_table_decodes_columns_on_first_read(tmp_path):
 
 @pytest.mark.parametrize("fam,rank", [("B", 4), ("F", 4), ("D", 4)])
 def test_loaded_table_saves_identical_bytes(tmp_path, fam, rank):
+    g = get_group(fam, rank)
     t = get_table(fam, rank)
     path, again = tmp_path / "t.klv", tmp_path / "again.klv"
     save_table(t, path)
-    t2 = load_table(get_group(fam, rank), path)
-    assert (decoded_polys(t2), t2._pool, t2._cmax, len(t2)) == (
-        decoded_polys(t), t._pool, t._cmax, len(t))
+    t2 = load_table(g, path)
+    # the built table stores the extremal entries, the loaded one every entry
+    assert len(t2) == len(decoded_polys(t2))
+    assert (decoded_polys(t2), t2._pool, t2._cmax) == (decoded_polys(t), t._pool, t._cmax)
+    # the built table reads through its climbs, the loaded one through the
+    # identity
+    pairs = [(y, w) for w, m in enumerate(down_masks(g)) for y in iter_indices(m)]
+    assert [t.polynomial_by_index(y, w) for y, w in pairs] == [
+        t2.polynomial_by_index(y, w) for y, w in pairs]
     save_table(t2, again)
     assert again.read_bytes() == path.read_bytes()
 

@@ -159,16 +159,30 @@ def test_singularity_from_weight():
     assert singularity_from_weight(b3, (1, 0, 0)) == {2, 3}
     assert singularity_from_weight(a3, (1, 1, 0, 0)) == {1, 3}
     assert singularity_from_weight(a3, (3, 2, 1, 0)) == frozenset()
-    assert singularity_from_weight(a3, (Fraction(3, 2), 1, Fraction(1, 2), 0)) \
-        == frozenset()
     c3 = CartanType("C", 3)
     d4 = CartanType("D", 4)
     assert singularity_from_weight(c3, (2, 1, 0)) == {3}
     assert singularity_from_weight(c3, (1, 1, 0)) == {1, 3}
     assert singularity_from_weight(d4, (3, 2, 1, -1)) == {4}
     assert singularity_from_weight(d4, (1, 1, 0, 0)) == {1, 3, 4}
-    assert singularity_from_weight(b3, (Fraction(1, 2), Fraction(1, 2), 0)) \
-        == {1, 3}
+    # half-integer coordinates with integer pairings are integral
+    h = Fraction(1, 2)
+    assert singularity_from_weight(b3, (5 * h, 3 * h, h)) == frozenset()
+    assert singularity_from_weight(b3, (3 * h, h, h)) == {2}
+    assert singularity_from_weight(d4, (3 * h, h, h, -h)) == {2, 4}
+    assert singularity_from_weight(a3, (3 * h, h, h, -h)) == {2}
+
+
+def test_singularity_from_weight_rejects_non_integral_weights():
+    # their blocks belong to the integral Weyl groups A1xA1 and B2xA1, not
+    # to A3 and B3
+    h = Fraction(1, 2)
+    with pytest.raises(InputError, match="not integral"):
+        singularity_from_weight(CartanType("A", 3), (3 * h, 1, h, 0))
+    with pytest.raises(InputError, match="not integral"):
+        singularity_from_weight(CartanType("B", 3), (h, h, 0))
+    with pytest.raises(InputError, match="not integral"):
+        singularity_from_weight(CartanType("C", 3), (h, h, h))
 
 
 def test_singularity_from_weight_errors():
