@@ -10,6 +10,14 @@ must equal the absolute value of the block Möbius number.  A block is
 scanned top-down, witnesses first: each representative first tries the x
 at which a higher one failed.  Results are in index order.
 
+Two exact facts about the dominant-side sums cut the scan's work
+(`_failing_rep` has the proofs).  A KL column of all ones at z = w w0 is a
+certificate: every sum then equals |mu(w, x)|, so w is exact without reading
+one.  By the Carrell-Peterson criterion (Proc. Sympos. Pure Math. 56,
+1994) such a column is one whose Schubert variety is rationally smooth.  And
+a sum only depends on the double coset W_{D_L(z)} (x w0) W_J, J = w0 S w0,
+so it is computed once per double coset, keyed by the table's left climb.
+
 Every stage is built on element indices: the up mask of w, the cover graph,
 the coset table and the index matchings of `parabolic`.  Index order is
 (length, ShortLex word) order, so vertices and edges come out sorted with no
@@ -214,12 +222,43 @@ def _failing_rep(wi: int, b: SingularBlock, b_dom: SingularBlock, t: KLTable,
                  first: int) -> int:
     """Index of a longest representative x >= w_wi whose dominant-side sum,
     the coset sum of b_dom = _w0_conjugate(b) at (x w0, w w0), is not
-    |mu(w, x)|, or -1; the x in mask `first` are tried first."""
+    |mu(w, x)|, or -1; the x in mask `first` are tried first.
+
+    Let z = w w0, J = sigma(S) = w0 S w0 and x' = x w0, a minimal
+    representative for J.  The sum is that of (-1)^l(u) P_{x'u, z} over the
+    u in W_J with x'u <= z.
+
+    Certificate.  If column z is empty, P_{y,z} = 1 for every y <= z and w
+    is exact.  The u with x'u <= z form the interval [e, u_max] of W_J,
+    x'u_max being the unique maximum of [e, z] in x'W_J (`coset_extremum`),
+    and Bruhat intervals are Eulerian, so the sum is 1 if u_max = e and 0
+    otherwise.  u_max = e iff x's <= z for no s in J, iff [x', z] lies in
+    W^J by the lifting property (Björner and Brenti, "Combinatorics of
+    Coxeter Groups", GTM 231: Prop. 2.2.7 and section 2.7).  Multiplying by
+    w0 turns that into [w, x] lying in the block, which is mu(w, x) != 0.
+
+    Shared sums.  For s in D_L(z), P_{sy,z} = P_{y,z}, and y <= z iff
+    sy <= z.  Left multiplication by s maps x'W_J onto s x'W_J with the
+    same u, or fixes it and pairs its terms with opposite signs, which
+    sums to 0.  So the sum depends only on the double coset
+    W_{D_L(z)} x' W_J, and is computed once per double coset, keyed by its
+    maximum: the left climb of z's table key applied to the top of x'W_J.
+    A loaded table keys by the identity, so there each coset is its own key.
+    """
     rw0 = b.group.rmul_w0_indices()
     zi = rw0[wi]
+    if not t._cols[zi]:
+        return -1
     cosets = b_dom._cosets
+    cl = t._keys[zi][0]
+    sums: dict[int, int] = {}
     for xi, nonzero in _mobius_row(b, wi, first):
-        if _coset_sum(t, cosets[rw0[xi]], zi) != (1 if nonzero else 0):
+        c = cosets[rw0[xi]]
+        m = cl[c[-1][0]]
+        p = sums.get(m)
+        if p is None:
+            p = sums[m] = _coset_sum(t, c, zi)
+        if p != nonzero:  # |mu(w, x)| is 1 or 0
             return xi
     return -1
 
@@ -227,7 +266,9 @@ def _failing_rep(wi: int, b: SingularBlock, b_dom: SingularBlock, t: KLTable,
 def nonkostant_block(g: WeylGroup, S, t: KLTable) -> list[Element]:
     """All longest representatives whose singular complex is not exact, in
     index order.  The scan runs top-down; each w first tries the witnesses,
-    the x at which a higher representative failed."""
+    the x at which a higher representative failed.  A w whose KL column at
+    w w0 is all ones is exact at once, and the others compute one sum per
+    double coset (see `_failing_rep`)."""
     check_same_group(g, t)
     b = make_block(g, S)
     b_dom = _w0_conjugate(b)

@@ -54,7 +54,11 @@ its keys are the identity.
 The singular polynomials are alternating sums of ordinary entries over a
 coset of a parabolic subgroup, read off the block's coset table by one
 kernel, `_coset_sum`.  The exactness test reads them on the block of the
-singularity set conjugated by w0, at (x w0, w w0).
+singularity set conjugated by w0, at (x w0, w w0).  It reads the table's
+keys too: an empty column z (P_{y,z} = 1 for all y <= z) decides every sum
+at z without reading one, and since P_{sy,z} = P_{y,z} for s in D_L(z), a
+coset sum at z only depends on the coset's double coset under W_{D_L(z)}
+on the left, whose maximum is the left climb cl of the coset's top.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from helpers import (
     RANK_LE_3,
     all_singularities,
     avoids_3412_4231,
+    double_coset_maxima,
     get_group,
     get_table,
     mobius_oracle,
@@ -27,6 +28,7 @@ from singbgg import (
     klv_polynomial,
     kostant_decompose,
     leq,
+    load_table,
     make_block,
     mobius_lambda,
     mu_coefficient,
@@ -34,11 +36,13 @@ from singbgg import (
     partition_pairs,
     regular_skeleton,
     s_category_has_bgg,
+    save_table,
     singular_skeleton,
     support_X,
     translate_skeleton,
 )
 from singbgg import complexes
+from singbgg.bruhat import iter_indices, up_masks
 from singbgg.errors import DomainError, InputError
 
 # Upper interval of s1s2 in A3: vertex words and its 22 cover arrows
@@ -416,7 +420,9 @@ def test_exactness_matches_pairwise_definition(fam, rank):
 
 def test_witness_scan_work_count(monkeypatch):
     # Pair sums over all 64 blocks of A4, B4, D4 and F4: 253,831 when every
-    # representative scans its row in index order, 89,616 witnesses first.
+    # representative scans its row in index order, 89,616 witnesses first,
+    # and 13,883 once a KL column of all ones decides w on its own and each
+    # sum is computed once per double coset W_{D_L(w w0)} (x w0) W_J.
     calls = 0
     coset_sum = complexes._coset_sum
 
@@ -434,7 +440,81 @@ def test_witness_scan_work_count(monkeypatch):
             bad += len(nonkostant_block(g, S, t))
     assert bad == 5540
     assert calls <= 100_000
-    assert calls == 89_616
+    assert calls == 13_883
+
+
+@pytest.mark.parametrize("fam,rank", RANK_LE_3 + [("A", 4), ("B", 4), ("D", 4)])
+def test_rationally_smooth_representatives_are_kostant(fam, rank):
+    # The scan accepts w as soon as the KL column of z = w w0 is all ones.
+    # By Carrell-Peterson that column is all ones iff the Schubert variety of
+    # z is rationally smooth, which the oracle reads off the Bruhat order
+    # alone; the pairwise test reads klv_dominant, which takes no shortcut.
+    g = get_group(fam, rank)
+    t = get_table(fam, rank)
+    rw0 = g.rmul_w0_indices()
+    checked = 0
+    for S in all_singularities(rank):
+        b = make_block(g, S)
+        for w in b.max_reps:
+            if rationally_smooth(g, rw0[w.index]):
+                checked += 1
+                assert _kostant_by_pairs(w, b, t), (S, w)
+    assert checked
+
+
+def test_empty_kl_column_is_rational_smoothness():
+    g, t = get_group("F", 4), get_table("F", 4)
+    assert [not t._cols[zi] for zi in range(g.order)] == [
+        rationally_smooth(g, zi) for zi in range(g.order)]
+
+
+@pytest.mark.parametrize("fam,smallest", [("B", 0), ("F", 2)])
+def test_dominant_sums_constant_on_double_cosets(fam, smallest):
+    # The scan computes one sum per double coset W_I x' W_J, with
+    # I = D_L(w w0), x' = x w0 and J = sigma(S), keyed by the left climb of
+    # the top of x' W_J.  The oracle finds the double cosets by closure;
+    # klv_dominant must agree on every x in one.  F4 runs the blocks with
+    # |S| >= 2 only: the others take about 820,000 reads.
+    g, t = get_group(fam, 4), get_table(fam, 4)
+    rw0 = g.rmul_w0_indices()
+    lmul, up = g._lmul, up_masks(g)
+    tops, groups = {}, 0
+    for S in all_singularities(4):
+        if len(S) < smallest:
+            continue
+        b = make_block(g, S)
+        b_dom = complexes._w0_conjugate(b)
+        right = sum(1 << (s - 1) for s in b_dom.S)
+        for w in b.max_reps:
+            zi = rw0[w.index]
+            left = sum(1 << s for s in range(4) if lmul[s][zi] < zi)
+            if (left, right) not in tops:
+                tops[left, right] = double_coset_maxima(g, left, right)
+            top = tops[left, right]
+            cl = t._keys[zi][0]
+            by_top = {}
+            for xi in iter_indices(up[w.index] & b._maxrep_mask):
+                xp = rw0[xi]
+                assert cl[b_dom._cosets[xp][-1][0]] == top[xp]
+                by_top.setdefault(top[xp], []).append(g.element_by_index(xi))
+            for xs in by_top.values():
+                if len(xs) > 1:
+                    groups += 1
+                    p = klv_dominant(t, b, w, xs[0])
+                    assert all(klv_dominant(t, b, w, x) == p for x in xs[1:]), (S, w, xs)
+    assert groups
+
+
+@pytest.mark.parametrize("fam", ["B", "F"])
+def test_loaded_table_scans_like_the_built_one(tmp_path, fam):
+    # A loaded table keys every column by the identity, so no two cosets
+    # share a sum, and the certificate reads decoded columns.
+    g, t = get_group(fam, 4), get_table(fam, 4)
+    path = tmp_path / "t.klv"
+    save_table(t, path)
+    loaded = load_table(g, path)
+    for S in all_singularities(4):
+        assert nonkostant_block(g, S, loaded) == nonkostant_block(g, S, t), S
 
 
 @pytest.mark.parametrize("fam,rank,count", [
