@@ -243,7 +243,6 @@ def _failing_rep(wi: int, b: SingularBlock, b_dom: SingularBlock, t: KLTable,
     sums to 0.  So the sum depends only on the double coset
     W_{D_L(z)} x' W_J, and is computed once per double coset, keyed by its
     maximum: the left climb of z's table key applied to the top of x'W_J.
-    A loaded table keys by the identity, so there each coset is its own key.
     """
     rw0 = b.group.rmul_w0_indices()
     zi = rw0[wi]

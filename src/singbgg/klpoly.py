@@ -36,20 +36,18 @@ guards raise AssertionError before a value could leave that range: the
 build checks each column's recursion sum, and every table checks once that
 a signed sum of distinct entries, at most one per element of W, still fits.
 
-Storage is sparse: a built column w keeps only the double-coset maxima m
-with P_{m,w} other than 0 and 1 (F4: 15,622 entries, for 231,036 such y),
-and the 0/1 distinction is read off the Bruhat-order bitmasks.  Stored
-values are interned, so equal polynomials share one int and the table keeps
-a pool of the distinct ones with their coefficient tuples.  Tuples and
+Storage is sparse: column w keeps only the double-coset maxima m with
+P_{m,w} other than 0 and 1 (F4: 15,622 entries, for 231,036 such y), and
+the 0/1 distinction is read off the Bruhat-order bitmasks.  Stored values
+are interned, so equal polynomials share one int and the table keeps a pool
+of the distinct ones with their coefficient tuples.  Tuples and
 IntPolynomial are built only when a polynomial leaves the module.
 
-The binary cache stores the full columns, each column's support as a
-bitmask over element indices; save_table expands a built column to the
-order ideal below its stored entries and reads each y there through the
-read rule.  A loaded table validates the whole file at load time, each mask
-against the Bruhat order, but keeps the masks and pool indices as they are;
-a column's dict is built the first time something reads that column, and
-its keys are the identity.
+The binary cache stores the columns as they are: each column's stored ys
+and their indices into the pool.  load_table validates the whole file,
+every stored y against the Bruhat order and the climbs included, decodes
+every column and rebuilds the climb lists, so a loaded table is the table
+a build gives.
 
 The singular polynomials are alternating sums of ordinary entries over a
 coset of a parabolic subgroup, read off the block's coset table by one
@@ -69,8 +67,8 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import accumulate
-from operator import lt
+from itertools import accumulate, compress
+from operator import ge, lt
 
 from .bruhat import cover_graph, down_masks, index_mask, iter_indices, leq
 from .errors import DomainError, InputError
@@ -176,22 +174,43 @@ def _climb(rows: list[list[int]], gens: int, ident: list[int]) -> list[int]:
     return climb
 
 
+def _climb_keys(g: WeylGroup) -> list[tuple[list[int], list[int]]]:
+    """keys[w] = (cl, cr), the climbs of y to the longest element of W_I y
+    and of y W_J for I = D_L(w) and J = D_R(w).  A climb list is built once
+    per descent set and side, and shared by every w with that set there;
+    e's key is the identity twice."""
+    ident = list(range(g.order))
+    sides = []
+    for rows in (g._lmul, g._rmul):
+        # desc[w] has bit s set iff s is a descent of w on this side
+        desc = [0] * g.order
+        for s, row in enumerate(rows):
+            for wi in compress(ident, map(lt, row, ident)):
+                desc[wi] |= 1 << s
+        climbs = {0: ident}
+        for mask in sorted(set(desc) - {0}):
+            c = climbs[mask] = _climb(rows, mask, ident)
+            # indices grow with length, so the degree bound checked at c[y]
+            # holds at every y reading it
+            if any(map(lt, c, ident)):
+                raise AssertionError("a climb went down in length")
+        sides.append(map(climbs.__getitem__, desc))
+    return [*zip(*sides)]
+
+
 class KLTable:
     """Complete Kazhdan-Lusztig table for a fully enumerated group.
 
     Entries are read by element index pairs (y, w); pairs with y not below w
     read as 0, a comparable pair as _cols[w].get(cl[cr[y]], 1) with
-    (cl, cr) = _keys[w].  _cols[w] maps stored y to P_{y,w} packed at
-    q = 2**_WIDTH (a list for a built table, a _Columns for a loaded one).
-    A built table stores the double-coset maxima and keys w by its climb
-    lists; a loaded one stores the full columns and keys every w by the
-    identity.  _stored, which len() returns, counts the stored entries: the
-    extremal ones for a built table, every entry other than 0 and 1 for a
-    loaded one; _columns() gives the full columns of either.  _pool maps each
-    distinct stored value to its coefficient tuple, and _cmax is the largest
-    coefficient in absolute value (at least 1).  A signed sum reads at most
-    one entry per element of W, so _cmax * |W| bounds its coefficients; the
-    table checks that bound once, and the sums do not check it again.
+    (cl, cr) = _keys[w] from _climb_keys.  _cols[w] maps each stored y, a
+    double-coset maximum, to P_{y,w} packed at q = 2**_WIDTH, in increasing
+    y.  _stored, which len() returns, counts the stored entries.  _pool maps
+    each distinct stored value to its coefficient tuple, and _cmax is the
+    largest coefficient in absolute value (at least 1).  A signed sum reads
+    at most one entry per element of W, so _cmax * |W| bounds its
+    coefficients; the table checks that bound once, and the sums do not
+    check it again.
     """
 
     def __init__(self, group: WeylGroup, _entries: tuple | None = None):
@@ -213,26 +232,12 @@ class KLTable:
         lmul, rmul = g._lmul, g._rmul
         n = g.order
         gens = range(g.rank)
-        ident = list(range(n))
         # masks of the y with s y < y (y s < y)
-        left_desc = [index_mask(y for y in ident if row[y] < y) for row in lmul]
-        right_desc = [index_mask(y for y in ident if row[y] < y) for row in rmul]
-        # climbs to the longest element of W_I y (of y W_J), by descent set
-        left_climbs: dict[int, list[int]] = {}
-        right_climbs: dict[int, list[int]] = {}
-
-        def climb(rows, mask, climbs):
-            c = climbs.get(mask)
-            if c is None:
-                c = climbs[mask] = _climb(rows, mask, ident)
-                # so the degree bound checked at c[y] holds at every y reading it
-                if any(map(lt, map(lengths.__getitem__, c), lengths)):
-                    raise AssertionError("a climb went down in length")
-            return c
-
+        left_desc = [index_mask(y for y in range(n) if row[y] < y) for row in lmul]
+        right_desc = [index_mask(y for y in range(n) if row[y] < y) for row in rmul]
         cols: list[dict[int, int]] = [{} for _ in range(n)]
-        # keys[w] = (cl, cr): column w is read at cl[cr[y]]; e's column is empty
-        keys = [(ident, ident)] * n
+        # column w is read at cl[cr[y]] for (cl, cr) = keys[w]
+        keys = _climb_keys(g)
         # mu_rows[w]: the (z, mu(z, w)) with mu != 0, the covers first
         mu_rows = [[(zi, 1) for zi in low] for low in cover_graph(g).lower]
         # distinct stored value -> (the shared int, degree, leading coefficient)
@@ -258,16 +263,12 @@ class KLTable:
                     mu_sum += mu
             _check_width((2 + mu_sum) * cmax)
             # the extremal y <= w: D_L(w) in D_L(y) and D_R(w) in D_R(y)
-            left = right = 0
             ext = down[wi]
             for t in gens:
                 if lmul[t][wi] < wi:
-                    left |= 1 << t
                     ext &= left_desc[t]
                 if rmul[t][wi] < wi:
-                    right |= 1 << t
                     ext &= right_desc[t]
-            keys[wi] = (climb(lmul, left, left_climbs), climb(rmul, right, right_climbs))
             col = cols[wi]
             row_mu = mu_rows[wi]
             for yi in iter_indices(ext):
@@ -312,51 +313,8 @@ class KLTable:
         check_same_group(self.group, y, w)
         return IntPolynomial(self.polynomial_by_index(y.index, w.index))
 
-    def _columns(self):
-        """The full columns in index order of w, each as (mask, ps): the
-        bitmask of the y with P_{y,w} other than 0 and 1, and their packed
-        values in increasing y.
-
-        Those y form the order ideal below the stored ones: every y reads
-        its key m >= y, and P_{y,w} - P_{z,w} has nonnegative coefficients
-        for y <= z <= w (Braden and MacPherson, Math. Ann. 321, 2001), so
-        nothing below an entry other than 1 reads 1.
-        """
-        down = self._down
-        for wi, col in enumerate(map(self._cols.__getitem__, range(self.group.order))):
-            cl, cr = self._keys[wi]
-            mask = 0
-            for yi in col:
-                mask |= down[yi]
-            ps = [*map(col.get, map(cl.__getitem__, map(cr.__getitem__, iter_indices(mask))))]
-            if None in ps:
-                raise AssertionError("a KL polynomial below one other than 1 is 1")
-            yield mask, ps
-
     def __len__(self) -> int:
         return self._stored
-
-
-class _Columns(dict):
-    """Columns of a loaded table, w -> {y: packed P_{y,w}}, each decoded
-    from the cache the first time it is read.
-
-    masks[w] has bit y set iff column w stores P_{y,w}, ks is the file's
-    pool-index array, entries bounds[w]:bounds[w + 1] of it belong to column
-    w in increasing y, and values[k] is the packed pool polynomial k.  Once
-    decoded, a column is read by a plain dict lookup.
-    """
-
-    __slots__ = ("_masks", "_ks", "_bounds", "_values")
-
-    def __init__(self, masks: list[int], ks: array, bounds: list[int], values: list[int]):
-        super().__init__()
-        self._masks, self._ks, self._bounds, self._values = masks, ks, bounds, values
-
-    def __missing__(self, wi: int) -> dict[int, int]:
-        ks = self._ks[self._bounds[wi]:self._bounds[wi + 1]]
-        col = self[wi] = dict(zip(iter_indices(self._masks[wi]), map(self._values.__getitem__, ks)))
-        return col
 
 
 def kl_table(g: WeylGroup) -> KLTable:
@@ -400,8 +358,9 @@ def klv_dominant(
             raise DomainError(f"{e!r} is not a longest coset representative")
     if not leq(w, x):
         raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
-    el, rw0 = b.group.element_by_index, b.group.rmul_w0_indices()
-    return klv_polynomial(t, _w0_conjugate(b), el(rw0[x.index]), el(rw0[w.index]))
+    rw0 = b.group.rmul_w0_indices()
+    return IntPolynomial(_unpack(_coset_sum(t, _w0_conjugate(b)._cosets[rw0[x.index]],
+                                            rw0[w.index])))
 
 
 def _coset_sum(t: KLTable, terms, zi: int) -> int:
@@ -422,21 +381,20 @@ def _coset_sum(t: KLTable, terms, zi: int) -> int:
 # -- binary cache ---------------------------------------------------------------
 #
 # Layout (little-endian):
-#   "KLV3", family (1 ASCII byte), rank (u8), order n (u32),
+#   "KLV4", family (1 ASCII byte), rank (u8), order n (u32),
 #   SHA-256 of the order rows down_masks(g)[i] as (n + 7) // 8 bytes each,
 #   CRC32 of the payload (u32), then the payload:
 #   n_polys (u32), n_entries (u32),
 #   the pool: each distinct stored polynomial once, as degree (u8) and
 #   degree + 1 int32 coefficients,
-#   n column masks of (n + 7) // 8 bytes each, bit y of mask w set iff
-#   column w stores P_{y,w},
-#   n_entries u32 pool indices, sorted by (w, y).
+#   n column counts (u32), the number of entries column w stores,
+#   n_entries stored ys (u32), column by column, increasing within a column,
+#   n_entries u32 pool indices, in the same order.
 #
-# load_table checks all of it before it returns, then keeps the masks and the
-# pool-index array as they are and decodes a column on its first read.
+# load_table checks all of it before it returns and decodes every column.
 
-_MAGIC = b"KLV3"
-_OLD_MAGICS = (b"KLV1", b"KLV2")
+_MAGIC = b"KLV4"
+_OLD_MAGICS = (b"KLV1", b"KLV2", b"KLV3")
 _HEADER = struct.Struct("<4scBI32sI")
 _U32 = "I"
 
@@ -473,11 +431,11 @@ def save_table(t: KLTable, path) -> None:
     import tempfile  # imported on use: only a cache write needs it
 
     g = t.group
-    nbytes = (g.order + 7) // 8
-    masks, vals = bytearray(), []
-    for mask, ps in t._columns():
-        masks += mask.to_bytes(nbytes, "little")
-        vals += ps
+    counts, ys, vals = [], [], []
+    for col in t._cols:  # each in increasing y
+        counts.append(len(col))
+        ys += col
+        vals += col.values()
     # pool indices in order of first use, by (w, y)
     pool = {v: k for k, v in enumerate(dict.fromkeys(vals))}
     ks = [*map(pool.__getitem__, vals)]
@@ -485,7 +443,7 @@ def save_table(t: KLTable, path) -> None:
     for v in pool:
         p = t._pool[v]
         payload += struct.pack(f"<B{len(p)}i", len(p) - 1, *p)
-    payload += masks + struct.pack(f"<{len(ks)}I", *ks)
+    payload += struct.pack(f"<{len(counts) + 2 * len(ks)}I", *counts, *ys, *ks)
     header = _HEADER.pack(_MAGIC, g.cartan.family.encode("ascii"), g.rank,
                           g.order, _order_digest(g), zlib.crc32(payload))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
@@ -508,9 +466,10 @@ def save_table(t: KLTable, path) -> None:
 
 def load_table(g: WeylGroup, path) -> KLTable:
     """Read a table cache and validate its header, order digest and
-    checksum against g, and its payload's structure.
+    checksum against g, and its payload's structure, every stored y against
+    the Bruhat order and the climbs included.
 
-    Every check runs here; the columns are decoded on first read.
+    Every check runs here, and every column is decoded.
 
     A file that cannot be read or decoded raises InputError.
     """
@@ -553,20 +512,14 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
         (deg,) = struct.unpack_from("<B", data, off)
         pool.append(struct.unpack_from(f"<{deg + 1}i", data, off + 1))
         off += 5 + 4 * deg
-    nbytes = (n + 7) // 8
-    koff = off + n * nbytes
-    if len(data) - koff != 4 * n_entries:
+    if len(data) - off != 4 * (n + 2 * n_entries):
         raise InputError(f"{path}: truncated or corrupt cache file (payload length)")
-    masks = [int.from_bytes(data[i:i + nbytes], "little")
-             for i in range(off, koff, nbytes)]
-    # a stored y lies strictly below w; this also rules out bits at n and above
-    if any(m & ~d or m >> wi & 1
-           for wi, (m, d) in enumerate(zip(masks, down_masks(g)))):
-        raise InputError(f"{path}: corrupt cache file (stored y not below its w)")
-    bounds = [0, *accumulate(map(int.bit_count, masks))]
+    counts = _u32_array(data, off, n)
+    ys = _u32_array(data, off + 4 * n, n_entries).tolist()
+    ks = _u32_array(data, off + 4 * (n + n_entries), n_entries)
+    bounds = [0, *accumulate(counts)]
     if bounds[-1] != n_entries:
-        raise InputError(f"{path}: corrupt cache file (masks do not match the entry count)")
-    ks = _u32_array(data, koff, n_entries)
+        raise InputError(f"{path}: corrupt cache file (column counts do not match the entry count)")
     if n_entries and max(ks) >= n_polys:
         raise InputError(f"{path}: corrupt cache file (pool index out of range)")
     # the writer stores KL polynomials other than 0 and 1, each once: constant
@@ -576,11 +529,23 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
     values = [_pack(p) for p in pool]
     if len(set(values)) != n_polys:
         raise InputError(f"{path}: corrupt cache file (pool polynomial repeated)")
-    cols = _Columns(masks, ks, bounds, values)
+    keys = _climb_keys(g)
+    cols = []
+    for wi, down, (cl, cr), b, e in zip(range(n), down_masks(g), keys, bounds, bounds[1:]):
+        col_ys = ys[b:e]
+        if col_ys:
+            if any(map(ge, col_ys, col_ys[1:])):
+                raise InputError(f"{path}: corrupt cache file (stored ys not in increasing order)")
+            # a y below w has a smaller index; that bounds the shifts and lookups,
+            # and distinct shifts sum to their union
+            if col_ys[-1] >= wi or sum(map((1).__lshift__, col_ys)) & ~down:
+                raise InputError(f"{path}: corrupt cache file (stored y not below its w)")
+            if [*map(cl.__getitem__, map(cr.__getitem__, col_ys))] != col_ys:
+                raise InputError(
+                    f"{path}: corrupt cache file (stored y not a double-coset maximum)")
+        cols.append(dict(zip(col_ys, map(values.__getitem__, ks[b:e]))))
     cmax = max((abs(c) for p in pool for c in p), default=1)
     try:
-        ident = list(range(n))
-        return KLTable(g, _entries=(cols, [(ident, ident)] * n, n_entries,
-                                    dict(zip(values, pool)), cmax))
+        return KLTable(g, _entries=(cols, keys, n_entries, dict(zip(values, pool)), cmax))
     except AssertionError:  # the table's width check
         raise InputError(f"{path}: corrupt cache file (coefficient out of range)") from None

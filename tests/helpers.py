@@ -3,7 +3,7 @@
 from functools import lru_cache
 from itertools import chain, combinations
 
-from singbgg import CartanType, build_group, kl_table, klpoly, positive_roots
+from singbgg import CartanType, build_group, kl_table, positive_roots
 from singbgg.bruhat import down_masks, iter_indices
 from singbgg.cartan import simple_reflection
 
@@ -337,11 +337,11 @@ def tuple_kl_polys(g):
 
 
 def decoded_polys(t):
-    """{(y, w): coefficients} of the entries a KLTable stores, unpacked;
-    reads every column, through the table's iteration path."""
-    return {(y, w): klpoly._unpack(p)
-            for w, (mask, ps) in enumerate(t._columns())
-            for y, p in zip(iter_indices(mask), ps)}
+    """{(y, w): coefficients} of every P_{y,w} other than 0 and 1 of a
+    KLTable, read pair by pair through polynomial_by_index."""
+    return {(y, w): p
+            for w, m in enumerate(t._down) for y in iter_indices(m)
+            if (p := t.polynomial_by_index(y, w)) != (1,)}
 
 
 def double_coset_maxima(g, left, right):

@@ -3,11 +3,15 @@
     PYTHONPATH=src python3 tests/table_digests.py A4 B4 D4 F4 A5 D5 B5 A6
     PYTHONPATH=src python3 tests/table_digests.py --json A5 D5
 
-For each named group the first form prints the SHA-256 of the bytes
-``save_table`` writes, then one line per block: the singular set, the number
-of longest representatives, the number of non-Kostant modules and the
-SHA-256 of their sorted ShortLex words (the digest form of
-``bench/expected.json``).  Run it on both commits and compare the lines.
+For each named group the first form prints a SHA-256 of the table's
+values: the coefficient tuple of every comparable pair (y, w), read through
+``polynomial_by_index`` in index order of w, then of y.  It does not depend
+on how the table stores its entries or on the cache format, so two commits
+compare across a format change.  Then it prints one line per block: the
+singular set, the number of longest representatives, the number of
+non-Kostant modules and the SHA-256 of their sorted ShortLex words (the
+digest form of ``bench/expected.json``).  Run it on both commits and compare
+the lines.
 
 The second form prints the block data alone as JSON.
 ``tests/data/rank5_blocks.json`` was written by it, and the acceptance test
@@ -21,12 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
-import tempfile
 
 from helpers import all_singularities
-from singbgg import CartanType, build_group, kl_table, make_block, nonkostant_block, save_table
+from singbgg import CartanType, build_group, kl_table, make_block, nonkostant_block
+from singbgg.bruhat import down_masks, iter_indices
 
 
 def word(e) -> str:
@@ -53,12 +56,12 @@ def block_digests(g, sets: dict[tuple[int, ...], list]) -> dict[str, dict]:
 
 
 def table_sha256(t) -> str:
-    """SHA-256 of the cache file save_table writes for t."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "t.klv")
-        save_table(t, path)
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+    """SHA-256 of the reprs of P_{y,w} for every y <= w, w then y in index order."""
+    h = hashlib.sha256()
+    for wi, down in enumerate(down_masks(t.group)):
+        for yi in iter_indices(down):
+            h.update(repr(t.polynomial_by_index(yi, wi)).encode())
+    return h.hexdigest()
 
 
 def main(argv: list[str]) -> int:

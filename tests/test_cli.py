@@ -202,7 +202,7 @@ def test_cache_read_after_earlier_call(tmp_path, capsys):
     code, out1, _ = run(capsys, "nonkostant", "-t", "A", "-r", "3", "-s", "2",
                         "--cache", str(good))
     assert (code, out1) == (0, "(2)\n")
-    for bad in (good.read_bytes()[:-1], b"KLV3garbage"):
+    for bad in (good.read_bytes()[:-1], b"KLV4garbage"):
         cache.write_bytes(bad)
         code, out, err = run(capsys, "nonkostant", "-t", "A", "-r", "3",
                              "-s", "2", "--cache", str(cache))
@@ -220,6 +220,18 @@ def test_old_format_cache_exit_2(tmp_path, capsys):
     assert "older format" in err and "Traceback" not in err
 
 
+def test_klv3_cache_exit_2(tmp_path, capsys):
+    # a KLV3 file kept full columns as bitmasks; its header is refused before
+    # anything else is read
+    good, cache = tmp_path / "good.klv", tmp_path / "a3.klv"
+    argv = ("nonkostant", "-t", "A", "-r", "3", "-s", "2", "--cache")
+    assert run(capsys, *argv, str(good)) == (0, "(2)\n", "")
+    cache.write_bytes(b"KLV3" + good.read_bytes()[4:])
+    code, out, err = run(capsys, *argv, str(cache))
+    assert (code, out) == (2, "")
+    assert "older format (KLV3); delete it" in err and "Traceback" not in err
+
+
 def test_klv2_cache_exit_2_then_rebuilt(tmp_path, capsys):
     # b4_klv2.klv.gz is a B4 cache in the older KLV2 format
     cache = tmp_path / "b4.klv"
@@ -231,7 +243,7 @@ def test_klv2_cache_exit_2_then_rebuilt(tmp_path, capsys):
     assert "older format (KLV2)" in err and "Traceback" not in err
     cache.unlink()
     assert run(capsys, *argv) == (0, "1+q+q^2\n", "")
-    assert cache.read_bytes()[:4] == b"KLV3"
+    assert cache.read_bytes()[:4] == b"KLV4"
     assert run(capsys, *argv) == (0, "1+q+q^2\n", "")
 
 
@@ -331,7 +343,7 @@ def test_bad_input_leaves_no_cache_file_in_a_fresh_process(argv, tmp_path):
 
 def test_word_error_reported_before_a_bad_cache(tmp_path, capsys):
     cache = tmp_path / "a3.klv"
-    cache.write_bytes(b"KLV3garbage")
+    cache.write_bytes(b"KLV4garbage")
     code, out, err = run(capsys, "klpoly", "-t", "A", "-r", "3", "--y", "xyz",
                          "--w", "12", "--cache", str(cache))
     assert (code, out, err) == (2, "", "error: cannot parse word 'xyz'\n")
@@ -345,12 +357,12 @@ def test_word_error_reported_before_a_bad_cache(tmp_path, capsys):
 def test_commands_without_a_table_ignore_a_corrupt_cache(argv, expected, tmp_path,
                                                          capsys):
     cache = tmp_path / "a3.klv"
-    cache.write_bytes(b"KLV3garbage")
+    cache.write_bytes(b"KLV4garbage")
     code, out, err = run(capsys, argv[0], "-t", "A", "-r", "3", *argv[1:],
                          "--cache", str(cache))
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == expected
-    assert cache.read_bytes() == b"KLV3garbage"
+    assert cache.read_bytes() == b"KLV4garbage"
 
 
 @pytest.mark.parametrize("stage", ["translated", "singular"])

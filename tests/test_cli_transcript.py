@@ -25,7 +25,7 @@ CASES = json.loads((pathlib.Path(__file__).parent / "data" / "cli_transcript.jso
 
 # cache files a case can start from; "new" and "missing" name no file yet
 CACHE_FILES = {
-    "corrupt": b"KLV3garbage",
+    "corrupt": b"KLV4garbage",
     "klv1": b"KLV1A" + struct.pack("<BII", 3, 24, 0),
 }
 

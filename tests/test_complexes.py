@@ -507,8 +507,8 @@ def test_dominant_sums_constant_on_double_cosets(fam, smallest):
 
 @pytest.mark.parametrize("fam", ["B", "F"])
 def test_loaded_table_scans_like_the_built_one(tmp_path, fam):
-    # A loaded table keys every column by the identity, so no two cosets
-    # share a sum, and the certificate reads decoded columns.
+    # A loaded table has the built one's columns and climb keys, so its
+    # scans take the same certificates and share the same sums.
     g, t = get_group(fam, 4), get_table(fam, 4)
     path = tmp_path / "t.klv"
     save_table(t, path)

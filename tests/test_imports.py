@@ -113,7 +113,7 @@ def test_deferred_imports_work_in_a_fresh_process(tmp_path):
             "--w", "2321232", "--cache", str(cache))
     assert _fresh(*argv) == "1+q\n"  # builds the table and saves it
     saved = cache.read_bytes()
-    assert saved[:4] == b"KLV3"
+    assert saved[:4] == b"KLV4"
     assert _fresh(*argv) == "1+q\n"  # loads it, checking the order digest
     assert cache.read_bytes() == saved
 

@@ -99,11 +99,11 @@ def test_packed_table_equals_tuple_recursion(fam, rank):
 
 
 def test_distinct_counts():
-    # a built table stores P_{m,w} at the double-coset maxima m only; the
-    # full columns read through the keys hold every entry other than 0 and 1
+    # a table stores P_{m,w} at the double-coset maxima m only; read through
+    # the keys, 231,036 comparable pairs have a polynomial other than 1
     t = get_table("F", 4)
     assert (len(t), len(t._pool), t._cmax) == (15622, 312, 12)
-    assert sum(len(ps) for _, ps in t._columns()) == 231036
+    assert len(decoded_polys(t)) == 231036
 
 
 def _descent_masks(rows):
@@ -218,16 +218,23 @@ def test_climb_going_down_is_rejected(monkeypatch):
         kl_table(get_group("A", 3))
 
 
-def test_columns_reject_a_one_below_a_stored_entry():
-    # the full columns are the order ideal below the stored entries, as KL
-    # polynomials only grow going down; a 1 inside it is reported, not saved
-    t = kl_table(get_group("B", 3))
+@pytest.mark.parametrize("fam,rank", [("G", 2), ("A", 4), ("B", 4), ("D", 4), ("F", 4)])
+def test_no_one_below_a_stored_entry(fam, rank):
+    # P_{y,w} - P_{z,w} has nonnegative coefficients for y <= z <= w (Braden
+    # and MacPherson, Math. Ann. 321, 2001), so every y below a stored entry,
+    # one other than 1, reads a polynomial other than 1 too
+    t = get_table(fam, rank)
     down = t._down
-    wi, low = next((wi, y) for wi, col in enumerate(t._cols) for m in col for y in col
-                   if y != m and down[m] >> y & 1)
-    del t._cols[wi][low]
-    with pytest.raises(AssertionError, match="below one other than 1 is 1"):
-        list(t._columns())
+    below = 0
+    for wi, col in enumerate(t._cols):
+        mask = 0
+        for m in col:
+            mask |= down[m]
+        ys = list(iter_indices(mask))
+        assert all(t.polynomial_by_index(yi, wi) != (1,) for yi in ys), wi
+        below += len(ys)
+    # and every polynomial other than 1 lies below a stored entry
+    assert below == len(decoded_polys(t))
 
 
 def test_pack_round_trip():
@@ -412,25 +419,19 @@ def test_f4_cache_round_trip(tmp_path):
     assert decoded_polys(load_table(g, path)) == decoded_polys(t)
 
 
-def test_loaded_table_decodes_columns_on_first_read(tmp_path):
-    g = get_group("F", 4)
-    path = tmp_path / "f4.klv"
-    save_table(get_table("F", 4), path)
-    t = load_table(g, path)
-    assert len(t._cols) == 0  # decoded columns so far
-    # a loaded table stores the full columns
-    assert len(t) == sum(len(ps) for _, ps in get_table("F", 4)._columns()) == 231036
-    assert len(t._cols) == 0
-    y, w = g.from_word([1]), g.from_word([2, 3, 2, 1, 2, 3, 2])
-    assert t.polynomial(y, w) == get_table("F", 4).polynomial(y, w)
-    assert list(t._cols) == [w.index]
-    # a block scan reads the column w w0 of each longest representative w
-    t = load_table(g, path)
-    S = frozenset({2})
-    assert nonkostant_block(g, S, t) == nonkostant_block(g, S, get_table("F", 4))
-    rw0 = g.rmul_w0_indices()
-    assert set(t._cols) == {rw0[w.index] for w in make_block(g, S).max_reps}
-    assert len(t._cols) == 576
+@pytest.mark.parametrize("fam,rank,stored", [
+    ("G", 2, 0), ("A", 4, 46), ("B", 4, 1060), ("D", 4, 182), ("F", 4, 15622)])
+def test_loaded_table_is_the_built_table(tmp_path, fam, rank, stored):
+    # the cache holds the columns as built and the loader rebuilds the keys,
+    # so a loaded table is the built one, entry for entry and key for key
+    g, t = get_group(fam, rank), get_table(fam, rank)
+    path = tmp_path / "t.klv"
+    save_table(t, path)
+    t2 = load_table(g, path)
+    assert len(t2) == len(t) == stored
+    assert t2._cols == t._cols
+    assert t2._keys == t._keys
+    assert (t2._pool, t2._cmax) == (t._pool, t._cmax)
 
 
 @pytest.mark.parametrize("fam,rank", [("B", 4), ("F", 4), ("D", 4)])
@@ -440,11 +441,8 @@ def test_loaded_table_saves_identical_bytes(tmp_path, fam, rank):
     path, again = tmp_path / "t.klv", tmp_path / "again.klv"
     save_table(t, path)
     t2 = load_table(g, path)
-    # the built table stores the extremal entries, the loaded one every entry
-    assert len(t2) == len(decoded_polys(t2))
+    assert len(t2) == len(t)
     assert (decoded_polys(t2), t2._pool, t2._cmax) == (decoded_polys(t), t._pool, t._cmax)
-    # the built table reads through its climbs, the loaded one through the
-    # identity
     pairs = [(y, w) for w, m in enumerate(down_masks(g)) for y in iter_indices(m)]
     assert [t.polynomial_by_index(y, w) for y, w in pairs] == [
         t2.polynomial_by_index(y, w) for y, w in pairs]
@@ -462,12 +460,12 @@ def test_order_digest_pinned(fam, rank, digest):
 
 
 @pytest.mark.parametrize("fam,rank,digest", [
-    ("B", 4, "c4b02083414a5655645000b0d7d490600fcc8c7da2108b5dd1653985b6261147"),
-    ("F", 4, "0702ff4c08e5fee6440fa0a80fa3caa511fa64104f504ffa639616cecf596ca6"),
+    ("B", 4, "70338897da1e74824574aa37ba3fe0ecbf6fc1415686f23483fde1557c326c0c"),
+    ("F", 4, "b266532c726339bf7ae2f3b4086b9aebc2247e7498bf2f8d9c1b14a4c728604a"),
 ])
 def test_saved_cache_bytes_pinned(tmp_path, fam, rank, digest):
-    # the bytes of the KLV3 writer: a change of layout, pool order or
-    # mask encoding shows here
+    # the bytes of the KLV4 writer: a change of layout, pool order or
+    # column encoding shows here
     path = tmp_path / "t.klv"
     save_table(get_table(fam, rank), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -475,7 +473,7 @@ def test_saved_cache_bytes_pinned(tmp_path, fam, rank, digest):
 
 def test_cache_from_klv2_writer_rejected(tmp_path):
     # b4_klv2.klv.gz is a B4 cache written by the KLV2 writer, which stored
-    # y and w arrays; that format is refused, not read as KLV3
+    # y and w arrays; that format is refused, not read as KLV4
     path = tmp_path / "b4.klv"
     path.write_bytes(gzip.decompress((DATA / "b4_klv2.klv.gz").read_bytes()))
     with pytest.raises(InputError, match=r"older format \(KLV2\); delete it"):
@@ -506,6 +504,12 @@ def test_old_format_cache_rejected(tmp_path):
     # a version-1 header: magic, family, rank, order, entry count
     path.write_bytes(b"KLV1B" + struct.pack("<BII", 3, g.order, 0))
     with pytest.raises(InputError, match="older format.*delete it"):
+        load_table(g, path)
+    # a KLV3 file, which kept full columns as bitmasks, with the header of
+    # the current format
+    save_table(get_table("B", 3), path)
+    path.write_bytes(b"KLV3" + path.read_bytes()[4:])
+    with pytest.raises(InputError, match=r"older format \(KLV3\); delete it"):
         load_table(g, path)
 
 
@@ -577,7 +581,7 @@ def _resealed(data):
 
 
 def _split(data):
-    """(pool, offset of the column masks) of a cache file."""
+    """(pool, offset of the column counts) of a cache file."""
     n_polys = struct.unpack_from("<I", data, _PAYLOAD)[0]
     off = _PAYLOAD + 8
     pool = []
@@ -600,59 +604,74 @@ def _with_pool(data, edit):
 
 
 def _with_columns(data, edit):
-    """data with its column masks (ints) and pool indices (in (w, y) order)
-    replaced by edit(masks, ks); n_entries becomes the new len(ks)."""
+    """data with its column counts, stored ys and pool indices (lists of
+    ints, the last two in (w, y) order) replaced by edit(counts, ys, ks);
+    n_entries becomes the new len(ys)."""
     n = klpoly._HEADER.unpack_from(data)[3]
-    nbytes = (n + 7) // 8
     _, off = _split(data)
-    koff = off + n * nbytes
-    masks = [int.from_bytes(data[i:i + nbytes], "little") for i in range(off, koff, nbytes)]
-    ks = list(struct.unpack_from(f"<{(len(data) - koff) // 4}I", data, koff))
-    masks, ks = edit(masks, ks)
-    return (data[:_PAYLOAD + 4] + struct.pack("<I", len(ks)) + data[_PAYLOAD + 8:off]
-            + b"".join(m.to_bytes(nbytes, "little") for m in masks)
-            + struct.pack(f"<{len(ks)}I", *ks))
+    m = (len(data) - off - 4 * n) // 8
+    words = list(struct.unpack_from(f"<{n + 2 * m}I", data, off))
+    counts, ys, ks = edit(words[:n], words[n:n + m], words[n + m:])
+    return (data[:_PAYLOAD + 4] + struct.pack("<I", len(ys)) + data[_PAYLOAD + 8:off]
+            + struct.pack(f"<{len(counts) + len(ys) + len(ks)}I", *counts, *ys, *ks))
 
 
 def _with_entry(wi, yi):
-    """An edit that stores one more entry, (yi, wi), with column wi's ks
-    kept in increasing y order and pool index 0."""
-    def edit(masks, ks):
-        start = sum(m.bit_count() for m in masks[:wi])
-        at = start + (masks[wi] & ((1 << yi) - 1)).bit_count()
-        masks = masks[:wi] + [masks[wi] | 1 << yi] + masks[wi + 1:]
-        return masks, ks[:at] + [0] + ks[at:]
+    """An edit that stores one more entry, (yi, wi), with column wi's ys
+    kept in increasing order and pool index 0."""
+    def edit(counts, ys, ks):
+        start = sum(counts[:wi])
+        at = start + sum(y < yi for y in ys[start:start + counts[wi]])
+        counts = counts[:wi] + [counts[wi] + 1] + counts[wi + 1:]
+        return counts, ys[:at] + [yi] + ys[at:], ks[:at] + [0] + ks[at:]
     return edit
 
 
-def _bit_dropped(masks, ks):
-    """The lowest bit of the first nonempty mask cleared, ks kept: the masks
-    count one entry fewer than the file stores."""
-    wi = next(i for i, m in enumerate(masks) if m)
-    return masks[:wi] + [masks[wi] & masks[wi] - 1] + masks[wi + 1:], ks
+def _count_dropped(counts, ys, ks):
+    """The first nonzero count lowered by one, ys and ks kept: the counts
+    add up to one entry fewer than the file stores."""
+    wi = next(i for i, c in enumerate(counts) if c)
+    return counts[:wi] + [counts[wi] - 1] + counts[wi + 1:], ys, ks
+
+
+def _first_pair_swapped(counts, ys, ks):
+    """The first two ys of the first column with two entries swapped."""
+    wi = next(i for i, c in enumerate(counts) if c >= 2)
+    at = sum(counts[:wi])
+    ys = ys[:at] + [ys[at + 1], ys[at]] + ys[at + 2:]
+    return counts, ys, ks
 
 
 def test_inconsistent_payload_rejected(tmp_path):
     path = tmp_path / "t.klv"
-    save_table(get_table("B", 3), path)
+    t = get_table("B", 3)
+    save_table(t, path)
     data = path.read_bytes()
-    save_table(get_table("G", 2), path)
-    g2 = path.read_bytes()
     b3, wn = get_group("B", 3), get_group("B", 3).order - 1
     n_polys = struct.unpack_from("<I", data, _PAYLOAD)[0]
     s1, s2 = b3.generator(1).index, b3.generator(2).index
+    down = down_masks(b3)
+    # a y below the longest element, not below the column w of index above it
+    wi = min(wi for wi in range(wn) if any(down[wi] >> y & 1 == 0 for y in range(wi)))
+    lo = next(y for y in range(wi) if not down[wi] >> y & 1)
+    # a y below a column's w that is not the maximum of its double coset
+    cl, cr = t._keys[wn]
+    inner = next(y for y in range(wn) if cl[cr[y]] != y)
     cases = [
-        (b3, data[:-4] + struct.pack("<I", n_polys), "pool index"),
-        (b3, data + b"\0", "payload length"),
-        (b3, data[:-1], "payload length"),
+        (data[:-4] + struct.pack("<I", n_polys), "pool index"),
+        (data + b"\0", "payload length"),
+        (data[:-1], "payload length"),
         # w itself stored in column w (the longest element's column)
-        (b3, _with_columns(data, _with_entry(wn, wn)), "stored y not below its w"),
+        (_with_columns(data, _with_entry(wn, wn)), "stored y not below its w"),
         # s2 is not below s1
-        (b3, _with_columns(data, _with_entry(s1, s2)), "stored y not below its w"),
-        # G2 has n = 12: bit 12 of a two-byte mask is padding
-        (get_group("G", 2), _with_columns(g2, _with_entry(11, 12)),
-         "stored y not below its w"),
-        (b3, _with_columns(data, _bit_dropped), "masks do not match the entry count"),
+        (_with_columns(data, _with_entry(s1, s2)), "stored y not below its w"),
+        # a y of smaller index than w that is not below it
+        (_with_columns(data, _with_entry(wi, lo)), "stored y not below its w"),
+        # a y that is not an element index at all
+        (_with_columns(data, _with_entry(wn, b3.order)), "stored y not below its w"),
+        (_with_columns(data, _with_entry(wn, inner)), "not a double-coset maximum"),
+        (_with_columns(data, _first_pair_swapped), "not in increasing order"),
+        (_with_columns(data, _count_dropped), "counts do not match the entry count"),
     ]
     # pools the writer never makes: the first three would pack equal to
     # another polynomial or to 1, the last would not fit a sum's digits
@@ -663,13 +682,13 @@ def test_inconsistent_payload_rejected(tmp_path):
         (lambda p: [p[0], p[0]] + p[2:], "pool polynomial repeated"),
         (lambda p: [p[0][:-1] + (2**30,)] + p[1:], "coefficient out of range"),
     ]:
-        cases.append((b3, _with_pool(data, edit), msg))
-    for g, bad, msg in cases:
+        cases.append((_with_pool(data, edit), msg))
+    for bad, msg in cases:
         path.write_bytes(_resealed(bad))
         with pytest.raises(InputError, match=msg):
-            load_table(g, path)
+            load_table(b3, path)
     # the parser the edits go through writes an unedited file back as it was
-    assert _with_columns(data, lambda m, k: (m, k)) == data
+    assert _with_columns(data, lambda *cols: cols) == data
 
 
 @settings(max_examples=200, deadline=None, database=None)
