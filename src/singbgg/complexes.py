@@ -19,7 +19,7 @@ a sum only depends on the double coset W_{D_L(z)} (x w0) W_J, J = w0 S w0,
 so it is computed once per double coset, keyed by the table's left climb.
 
 Every stage is built on element indices: the up mask of w, the cover graph,
-the coset table and the index matchings of `parabolic`.  Index order is
+the block's coset map and the index matchings of `parabolic`.  Index order is
 (length, ShortLex word) order, so vertices and edges come out sorted with no
 sort.  An Element is made once per vertex; edges share their endpoints'.
 Skeletons and their edges are immutable named tuples, compared by value.
@@ -35,6 +35,7 @@ from .klpoly import KLTable, _coset_sum
 from .mobius import _mobius_row, support_X
 from .parabolic import (
     SingularBlock,
+    _closure,
     _intersection_pairs,
     _w0_conjugate,
     complementary_singularity,
@@ -84,10 +85,10 @@ def translate_skeleton(sk: ComplexSkeleton, b: SingularBlock) -> ComplexSkeleton
     check_same_group(b.group, sk.block)
     if sk.kind != "regular":
         raise DomainError(f"translation applies to regular skeletons, got {sk.kind}")
-    coset_of = b._coset_of
+    coset = b._coset
     edges = [
         SkeletonEdge(source=e.source, target=e.target, kind="equality")
-        if coset_of[e.source.index] == coset_of[e.target.index] else e
+        if coset[e.source.index][0] == coset[e.target.index][0] else e
         for e in sk.edges
     ]
     return ComplexSkeleton(
@@ -103,10 +104,10 @@ def cut_equalities(sk: ComplexSkeleton) -> ComplexSkeleton:
         raise DomainError(f"cut applies to translated skeletons, got {sk.kind}")
     b = sk.block
     g = b.group
-    coset_of = b._coset_of
+    coset = b._coset
     members: dict[int, list[int]] = {}
     for v, _ in sk.vertices:
-        members.setdefault(coset_of[v.index], []).append(v.index)
+        members.setdefault(coset[v.index][0], []).append(v.index)
     up_w = up_masks(g)[sk.base.index]
     for zs in members.values():
         if len(zs) == 1:
@@ -118,7 +119,7 @@ def cut_equalities(sk: ComplexSkeleton) -> ComplexSkeleton:
         # validates the matching; every paired vertex is removed
         elif 2 * len(_intersection_pairs(zs[0], up_w, b)) != len(zs):
             raise AssertionError("equality matching is not perfect")
-    verts = [(v, i) for v, i in sk.vertices if len(members[coset_of[v.index]]) == 1]
+    verts = [(v, i) for v, i in sk.vertices if len(members[coset[v.index][0]]) == 1]
     return ComplexSkeleton(base=sk.base, block=b, vertices=verts,
                            edges=_stratum_edges(verts, g), kind="singular")
 
@@ -248,15 +249,15 @@ def _failing_rep(wi: int, b: SingularBlock, b_dom: SingularBlock, t: KLTable,
     zi = rw0[wi]
     if not t._cols[zi]:
         return -1
-    cosets = b_dom._cosets
+    coset, signs = b_dom._coset, b_dom._signs
     cl = t._keys[zi][0]
     sums: dict[int, int] = {}
     for xi, nonzero in _mobius_row(b, wi, first):
-        c = cosets[rw0[xi]]
-        m = cl[c[-1][0]]
+        c = coset[rw0[xi]]
+        m = cl[c[-1]]
         p = sums.get(m)
         if p is None:
-            p = sums[m] = _coset_sum(t, c, zi)
+            p = sums[m] = _coset_sum(t, c, signs, zi)
         if p != nonzero:  # |mu(w, x)| is 1 or 0
             return xi
     return -1
@@ -286,14 +287,9 @@ def dominant_support(b: SingularBlock) -> set[Element]:
     parabolic subgroup times the longest singular element."""
     g = b.group
     w0i = b._w0_lambda_idx
-    # the coset W_{S^c} w0_lambda: the closure of w0_lambda under left
-    # multiplication by the complementary generators
-    rows = [g._lmul[s - 1] for s in complementary_singularity(b)]
-    out, layer = {w0i}, {w0i}
-    while layer:
-        layer = {row[i] for i in layer for row in rows} - out
-        out |= layer
-    if out != {xi for xi, nonzero in _mobius_row(b, w0i) if nonzero}:
+    # the coset W_{S^c} w0_lambda
+    out = _closure(w0i, [g._lmul[s - 1] for s in complementary_singularity(b)])
+    if out != [xi for xi, nonzero in _mobius_row(b, w0i) if nonzero]:
         raise AssertionError("closed-form support disagrees with the Möbius support")
     return {g.element_by_index(i) for i in out}
 

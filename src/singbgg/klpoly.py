@@ -19,12 +19,13 @@ s in I as a left and every t in J as a right descent: the y <= w in the AND
 of those descent masks.  F4 has 23,920 extremal pairs among its 396,809
 comparable pairs.  Every read of column w goes through one rule: P_{y,w} is
 the entry at cl[cr[y]], where (cl, cr) = _keys[w] are the climb lists for I
-and J, shared by every w with the same descent set on that side.  Each climb
-list is checked once, when it is built, never to lower the length, so the
-degree bound checked at m holds at every y that reads m.  w's row of nonzero
-mu(z, w), read by the recursion of later columns, starts as its lower covers
-(P = 1, mu = 1); the recursion adds the stored entries of top degree.  A
-non-extremal y has none, as l(m) > l(y).
+and J, shared by every w with the same descent set on that side; a right
+climb is a left one conjugated by inversion.  Each left climb is checked
+once, when it is built, never to lower the length (inversion keeps it), so
+the degree bound checked at m holds at every y that reads m.  w's row of
+nonzero mu(z, w), read by the recursion of later columns, starts as its
+lower covers (P = 1, mu = 1); the recursion adds the stored entries of top
+degree.  A non-extremal y has none, as l(m) > l(y).
 
 Inside the table every polynomial is one Python int, its value at
 q = 2**_WIDTH (Kronecker substitution).  This is an exact ring map from Z[q]
@@ -50,13 +51,14 @@ every column and rebuilds the climb lists, so a loaded table is the table
 a build gives.
 
 The singular polynomials are alternating sums of ordinary entries over a
-coset of a parabolic subgroup, read off the block's coset table by one
-kernel, `_coset_sum`.  The exactness test reads them on the block of the
-singularity set conjugated by w0, at (x w0, w w0).  It reads the table's
-keys too: an empty column z (P_{y,z} = 1 for all y <= z) decides every sum
-at z without reading one, and since P_{sy,z} = P_{y,z} for s in D_L(z), a
-coset sum at z only depends on the coset's double coset under W_{D_L(z)}
-on the left, whose maximum is the left climb cl of the coset's top.
+coset of a parabolic subgroup, summed by one kernel, `_coset_sum`, over a
+block's `_coset` tuple paired with its row of signs, `_signs`.  The
+exactness test reads them on the block of the singularity set conjugated
+by w0, at (x w0, w w0).  It reads the table's keys too: an empty column z
+(P_{y,z} = 1 for all y <= z) decides every sum at z without reading one,
+and since P_{sy,z} = P_{y,z} for s in D_L(z), a coset sum at z only
+depends on the coset's double coset under W_{D_L(z)} on the left, whose
+maximum is the left climb cl of the coset's top.
 """
 
 from __future__ import annotations
@@ -64,9 +66,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-import sys
 import zlib
-from array import array
 from itertools import accumulate, compress
 from operator import ge, lt
 
@@ -178,24 +178,27 @@ def _climb_keys(g: WeylGroup) -> list[tuple[list[int], list[int]]]:
     """keys[w] = (cl, cr), the climbs of y to the longest element of W_I y
     and of y W_J for I = D_L(w) and J = D_R(w).  A climb list is built once
     per descent set and side, and shared by every w with that set there;
-    e's key is the identity twice."""
-    ident = list(range(g.order))
-    sides = []
-    for rows in (g._lmul, g._rmul):
-        # desc[w] has bit s set iff s is a descent of w on this side
-        desc = [0] * g.order
-        for s, row in enumerate(rows):
-            for wi in compress(ident, map(lt, row, ident)):
-                desc[wi] |= 1 << s
-        climbs = {0: ident}
-        for mask in sorted(set(desc) - {0}):
-            c = climbs[mask] = _climb(rows, mask, ident)
-            # indices grow with length, so the degree bound checked at c[y]
-            # holds at every y reading it
-            if any(map(lt, c, ident)):
-                raise AssertionError("a climb went down in length")
-        sides.append(map(climbs.__getitem__, desc))
-    return [*zip(*sides)]
+    e's key is the identity twice.
+
+    Only the left climbs are walked.  y W_J is the inverse of W_J y^-1, so
+    the right climb for J is cr[y] = inv[cl[inv[y]]] with cl the left one
+    for J, and D_R(w) is D_L(w^-1)."""
+    ident, inv = list(range(g.order)), g._inv
+    # desc[w] has bit s set iff s is a left descent of w
+    desc = [0] * g.order
+    for s, row in enumerate(g._lmul):
+        for wi in compress(ident, map(lt, row, ident)):
+            desc[wi] |= 1 << s
+    climbs = {0: (ident, ident)}
+    for mask in sorted(set(desc) - {0}):
+        c = _climb(g._lmul, mask, ident)
+        # indices grow with length, so the degree bound checked at c[y]
+        # holds at every y reading it; inversion keeps lengths, so the
+        # right climb climbs too
+        if any(map(lt, c, ident)):
+            raise AssertionError("a climb went down in length")
+        climbs[mask] = c, [*map(inv.__getitem__, map(c.__getitem__, inv))]
+    return [(climbs[desc[wi]][0], climbs[desc[inv[wi]]][1]) for wi in ident]
 
 
 class KLTable:
@@ -343,7 +346,7 @@ def klv_polynomial(
     for e in (y, z):
         if not b_mu.contains_min_rep(e):
             raise DomainError(f"{e!r} is not a minimal coset representative")
-    return IntPolynomial(_unpack(_coset_sum(t, b_mu._cosets[y.index], z.index)))
+    return IntPolynomial(_unpack(_coset_sum(t, b_mu._coset[y.index], b_mu._signs, z.index)))
 
 
 def klv_dominant(
@@ -359,12 +362,13 @@ def klv_dominant(
     if not leq(w, x):
         raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
     rw0 = b.group.rmul_w0_indices()
-    return IntPolynomial(_unpack(_coset_sum(t, _w0_conjugate(b)._cosets[rw0[x.index]],
+    b_dom = _w0_conjugate(b)
+    return IntPolynomial(_unpack(_coset_sum(t, b_dom._coset[rw0[x.index]], b_dom._signs,
                                             rw0[w.index])))
 
 
-def _coset_sum(t: KLTable, terms, zi: int) -> int:
-    """Signed sum of P_{y, z} over the (y, sign) terms, packed.
+def _coset_sum(t: KLTable, ys, signs, zi: int) -> int:
+    """Sum of sign * P_{y, z} over zip(ys, signs), packed.
 
     The y must be distinct; the table's width check then covers the sum.
     """
@@ -372,7 +376,7 @@ def _coset_sum(t: KLTable, terms, zi: int) -> int:
     col = t._cols[zi]
     cl, cr = t._keys[zi]
     acc = 0
-    for yi, sign in terms:
+    for yi, sign in zip(ys, signs):
         if down_z >> yi & 1:
             acc += sign * col.get(cl[cr[yi]], 1)
     return acc
@@ -396,7 +400,6 @@ def _coset_sum(t: KLTable, terms, zi: int) -> int:
 _MAGIC = b"KLV4"
 _OLD_MAGICS = (b"KLV1", b"KLV2", b"KLV3")
 _HEADER = struct.Struct("<4scBI32sI")
-_U32 = "I"
 
 
 def _order_digest(g: WeylGroup) -> bytes:
@@ -408,16 +411,6 @@ def _order_digest(g: WeylGroup) -> bytes:
     for m in down_masks(g):
         h.update(m.to_bytes(nbytes, "little"))
     return h.digest()
-
-
-def _u32_array(data: bytes, off: int, count: int) -> array:
-    a = array(_U32)
-    if a.itemsize != 4:
-        raise AssertionError(f"array typecode {_U32!r} is not 4 bytes wide")
-    a.frombytes(data[off:off + 4 * count])
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a
 
 
 def save_table(t: KLTable, path) -> None:
@@ -514,9 +507,9 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
         off += 5 + 4 * deg
     if len(data) - off != 4 * (n + 2 * n_entries):
         raise InputError(f"{path}: truncated or corrupt cache file (payload length)")
-    counts = _u32_array(data, off, n)
-    ys = _u32_array(data, off + 4 * n, n_entries).tolist()
-    ks = _u32_array(data, off + 4 * (n + n_entries), n_entries)
+    counts = struct.unpack_from(f"<{n}I", data, off)
+    ys = struct.unpack_from(f"<{n_entries}I", data, off + 4 * n)
+    ks = struct.unpack_from(f"<{n_entries}I", data, off + 4 * (n + n_entries))
     bounds = [0, *accumulate(counts)]
     if bounds[-1] != n_entries:
         raise InputError(f"{path}: corrupt cache file (column counts do not match the entry count)")
@@ -540,7 +533,7 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
             # and distinct shifts sum to their union
             if col_ys[-1] >= wi or sum(map((1).__lshift__, col_ys)) & ~down:
                 raise InputError(f"{path}: corrupt cache file (stored y not below its w)")
-            if [*map(cl.__getitem__, map(cr.__getitem__, col_ys))] != col_ys:
+            if tuple(map(cl.__getitem__, map(cr.__getitem__, col_ys))) != col_ys:
                 raise InputError(
                     f"{path}: corrupt cache file (stored y not a double-coset maximum)")
         cols.append(dict(zip(col_ys, map(values.__getitem__, ks[b:e]))))

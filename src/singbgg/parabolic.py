@@ -5,15 +5,16 @@ W_lambda.  The block object carries left cosets only: the minimal
 representatives (no reduced expression ends in a singular reflection) and
 the longest ones (minimal representatives times the longest element of
 W_lambda); right cosets are their inverses, through the inversion table.
-It keeps two O(|W|) index tables: the coset of every element, and one coset
-table, each coset m W_lambda as its (m u, (-1)^l(u)) pairs, built once from
-the right multiplication table.  The signed pairs are what the singular
-polynomials sum over; the exactness test reads them on the block of the
-singularity set conjugated by w0.
+It keeps one coset map, built once from the right multiplication table:
+_coset[i] is the coset m W_lambda of element i as the indices of the m u,
+u in W_lambda in index order, one tuple shared by the coset, and _signs is
+the row of (-1)^l(u).  The singular polynomials are the signed sums over a
+coset; the exactness test reads them on the block of the singularity set
+conjugated by w0.
 
 The coset helpers and matchings work on element indices and Bruhat-order
 bitmasks, and make Elements only for the results they return.  They read
-the coset table through `SingularBlock._coset_indices`.
+the coset map through `SingularBlock._coset_indices`.
 """
 
 from __future__ import annotations
@@ -24,49 +25,55 @@ from .errors import DomainError, InputError
 from .weyl import Element, WeylGroup, check_same_group
 
 
+def _closure(i: int, rows: list[list[int]]) -> list[int]:
+    """The closure of {i} under the multiplication rows, in index order."""
+    out, layer = {i}, {i}
+    while layer:
+        layer = {row[j] for j in layer for row in rows} - out
+        out |= layer
+    return sorted(out)
+
+
 class SingularBlock:
-    """Derived data of a parabolic subgroup W_lambda; immutable after build."""
+    """Derived data of a parabolic subgroup W_lambda; only _conjugate changes."""
 
     def __init__(self, g: WeylGroup, S: frozenset[int]):
         g.require_enumerated()
         self.group = g
         self.S = S
         lengths, rmul = g._lengths, g._rmul
-
-        # coset_of[i]: index of the minimal representative of w_i W_lambda.
-        # A right descent s in S gives w_i = w_j s with j < i in the same coset.
-        rmuls = [rmul[s - 1] for s in S]
-        coset_of = list(range(g.order))
-        for i in range(g.order):
-            for row in rmuls:
-                j = row[i]
-                if j < i:
-                    coset_of[i] = coset_of[j]
-                    break
-        self._coset_of = coset_of
-        self._wlambda_indices = wl = [i for i, m in enumerate(coset_of) if m == 0]
+        self._wlambda_indices = wl = _closure(0, [rmul[s - 1] for s in S])
         self._w0_lambda_idx = wl[-1]
-        self._minrep_indices = [i for i, m in enumerate(coset_of) if i == m]
-        self._minrep_mask = index_mask(self._minrep_indices)
+        self._signs = tuple(-1 if lengths[u] % 2 else 1 for u in wl)  # (-1)^l(u)
+        self._conjugate: SingularBlock | None = None  # set by _w0_conjugate
 
-        # _cosets[m] lists (m u, (-1)^l(u)) for u in _wlambda_indices order,
-        # as m u = (m u') s: s ends u's ShortLex word and u' = u s is listed
-        # before u.  The last entry, m w0_lambda, is the coset's longest element.
+        # _coset[i] lists i's coset m W_lambda as m u = (m u') s, u in wl order:
+        # s ends u's ShortLex word and u' = u s is listed before u.  Index order
+        # refines length, so the first member reached in index order is m, and
+        # the last entry, m w0_lambda, is the longest.  Members share one tuple.
         pos = {u: k for k, u in enumerate(wl)}
         steps = []
         for u in wl[1:]:
             row = rmul[g._words[u][-1] - 1]
             steps.append((pos[row[u]], row))
-        signs = [-1 if lengths[u] % 2 else 1 for u in wl]
-        self._cosets: dict[int, tuple[tuple[int, int], ...]] = {}
-        for m in self._minrep_indices:
+        coset: list[tuple[int, ...]] = [()] * g.order
+        self._minrep_indices = minreps = []
+        for m in range(g.order):
+            if coset[m]:
+                continue
             zs = [m]
             for k, row in steps:
                 zs.append(row[zs[k]])
             if lengths[zs[-1]] != lengths[m] + lengths[wl[-1]]:
                 raise AssertionError("coset lengths are not additive over W_lambda")
-            self._cosets[m] = tuple(zip(zs, signs))
-        self._maxrep_indices = sorted(c[-1][0] for c in self._cosets.values())
+            c = tuple(zs)
+            for z in c:
+                coset[z] = c
+            minreps.append(m)
+        if len(minreps) * len(wl) != g.order:
+            raise AssertionError("cosets of W_lambda do not partition W")
+        self._coset = coset
+        self._maxrep_indices = sorted(coset[m][-1] for m in minreps)
         self._maxrep_mask = index_mask(self._maxrep_indices)
 
     # -- element views (sorted by (length, ShortLex word) = index order) ------
@@ -93,7 +100,7 @@ class SingularBlock:
         return bool(self._maxrep_mask >> w.index & 1)
 
     def contains_min_rep(self, w: Element) -> bool:
-        return bool(self._minrep_mask >> w.index & 1)
+        return self._coset[w.index][0] == w.index
 
     def coset(self, x: Element) -> list[Element]:
         """The coset x W_lambda, as elements."""
@@ -103,7 +110,7 @@ class SingularBlock:
 
     def _coset_indices(self, xi: int) -> tuple[int, ...]:
         """Indices of the coset of element xi, in _wlambda_indices order."""
-        return tuple(z for z, _ in self._cosets[self._coset_of[xi]])
+        return self._coset[xi]
 
     def __repr__(self) -> str:
         return f"SingularBlock({self.group.cartan}, S={sorted(self.S)})"
@@ -123,18 +130,21 @@ def make_block(g: WeylGroup, S) -> SingularBlock:
 def _w0_conjugate(b: SingularBlock) -> SingularBlock:
     """The block of sigma(S) = w0 S w0, whose cosets the exactness test sums
     over; b's own where w0 is central (A1, B, C, even D, E7, E8, F4, G2).
-    w0 s w0 = (w0 s) w0 is a simple reflection, named by its one-letter word."""
-    g = b.group
-    rw0, top = g.rmul_w0_indices(), g.order - 1
-    return make_block(g, {g._words[rw0[g._rmul[s - 1][top]]][0] for s in b.S})
+    w0 s w0 = (w0 s) w0 is a simple reflection, named by its one-letter word.
+    Resolved once per block and kept on it."""
+    if b._conjugate is None:
+        g = b.group
+        rw0, top = g.rmul_w0_indices(), g.order - 1
+        b._conjugate = make_block(g, {g._words[rw0[g._rmul[s - 1][top]]][0] for s in b.S})
+    return b._conjugate
 
 
 def kostant_decompose(v: Element, b: SingularBlock) -> tuple[Element, Element]:
     """Unique factorization v = v^lambda * v_lambda with additive lengths."""
     check_same_group(b.group, v)
     vi, el = v.index, b.group.element_by_index
-    u = b._wlambda_indices[b._coset_indices(vi).index(vi)]
-    return el(b._coset_of[vi]), el(u)
+    c = b._coset_indices(vi)
+    return el(c[0]), el(b._wlambda_indices[c.index(vi)])
 
 
 def coset_extremum(

@@ -495,7 +495,7 @@ def test_dominant_sums_constant_on_double_cosets(fam, smallest):
             by_top = {}
             for xi in iter_indices(up[w.index] & b._maxrep_mask):
                 xp = rw0[xi]
-                assert cl[b_dom._cosets[xp][-1][0]] == top[xp]
+                assert cl[b_dom._coset[xp][-1]] == top[xp]
                 by_top.setdefault(top[xp], []).append(g.element_by_index(xi))
             for xs in by_top.values():
                 if len(xs) > 1:

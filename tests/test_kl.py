@@ -154,24 +154,29 @@ def test_extremal_recursion_work_count(monkeypatch):
     climb = klpoly._climb
 
     def recorded(rows, gens, ident):
-        climbs["left" if rows is g._lmul else "right", gens] = c = climb(rows, gens, ident)
+        assert rows is g._lmul  # right climbs are left ones conjugated by inversion
+        climbs[gens] = c = climb(rows, gens, ident)
         return c
 
     monkeypatch.setattr(klpoly, "_climb", recorded)
     outer = sys.gettrace()
     sys.settrace(trace_build)
     try:
-        kl_table(g)
+        t = kl_table(g)
     finally:
         sys.settrace(outer)
     down = down_masks(g)
     left, right = _descent_masks(g._lmul), _descent_masks(g._rmul)
     ws = range(1, g.order)
-    # one climb per descent set of some w > e, on each side
-    assert set(climbs) == {("left", left[wi]) for wi in ws} | {("right", right[wi]) for wi in ws}
+    # one left climb per left descent set of some w > e, and each key's
+    # right climb equal to the one walked directly on the right
+    assert set(climbs) == {left[wi] for wi in ws}
+    ident = list(range(g.order))
+    direct = {J: climb(g._rmul, J, ident) for J in set(right)}
+    assert all(t._keys[wi] == (climbs[left[wi]], direct[right[wi]]) for wi in ws)
     extremal = single = 0
     for wi in ws:
-        cl, cr = climbs["left", left[wi]], climbs["right", right[wi]]
+        cl, cr = t._keys[wi]
         ys = list(iter_indices(down[wi]))
         ext = {yi for yi in ys if cl[cr[yi]] == yi}
         assert ext == {yi for yi in ys if left[wi] & ~left[yi] == 0 and right[wi] & ~right[yi] == 0}

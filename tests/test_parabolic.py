@@ -18,7 +18,9 @@ from singbgg import (
     partition_pairs,
     singularity_from_weight,
 )
+from singbgg import parabolic
 from singbgg.errors import DomainError, InputError
+from singbgg.parabolic import SingularBlock
 
 
 def test_block_sizes():
@@ -34,10 +36,23 @@ def test_block_sizes():
 
 
 def test_block_structure_invariants():
-    for fam, rank in [("A", 3), ("B", 3)]:
+    for fam, rank in [("A", 3), ("B", 3), ("G", 2), ("A", 4), ("B", 4), ("D", 4), ("F", 4)]:
         g = get_group(fam, rank)
+        lengths = g._lengths
         for S in all_singularities(rank):
             b = make_block(g, S)
+            # the coset map: every element lies in its coset, whose members share
+            # one tuple, from the minimal representative (no right descent in S)
+            # to the longest (all of S), with the signs (-1)^l(u) of W_lambda
+            # relative to the minimal one
+            for i, c in enumerate(b._coset):
+                assert c.count(i) == 1 and all(b._coset[z] is c for z in c)
+                assert {s for s in S if g._rmul[s - 1][c[0]] < c[0]} == set()
+                assert {s for s in S if g._rmul[s - 1][c[-1]] < c[-1]} == set(S)
+                assert list(b._signs) == [(-1) ** (lengths[z] - lengths[c[0]]) for z in c]
+                assert b.contains_min_rep(g.element_by_index(i)) == all(
+                    g._rmul[s - 1][i] > i for s in S)
+            assert len(b._signs) == len(b.W_lambda)
             assert len(b.min_reps) * len(b.W_lambda) == g.order
             assert sorted(x * b.w0_lambda for x in b.min_reps) == sorted(b.max_reps)
             # minimal left-coset representatives have no right descent in S,
@@ -50,6 +65,18 @@ def test_block_structure_invariants():
                 assert inverses == {w for w in g.elements()
                                     if {s for s in S if g._lmul[s - 1][w.index] < w.index}
                                     == descends}
+
+
+def test_coset_walk_gates_fire(monkeypatch):
+    """The block build rejects a W_lambda whose cosets do not tile W: a walk
+    that loses length, and one that lists an element twice."""
+    g = get_group("A", 2)
+    monkeypatch.setattr(parabolic, "_closure", lambda i, rows: [0, 1, 2])  # e, s1, s2
+    with pytest.raises(AssertionError, match="coset lengths are not additive"):
+        SingularBlock(g, frozenset({1, 2}))
+    monkeypatch.setattr(parabolic, "_closure", lambda i, rows: [0, 1, 1])
+    with pytest.raises(AssertionError, match="cosets of W_lambda do not partition W"):
+        SingularBlock(g, frozenset({1}))
 
 
 def test_bad_singular_index():
