@@ -152,21 +152,21 @@ def _nonkostant(a) -> None:
 
 def _blocks(a) -> None:
     g, b = a.g, a.b
+    order, min_reps = len(b._wlambda_indices), b.min_reps
     if a.format == "json":
         _emit_json({
             "cartan": g.cartan.family,
             "rank": g.rank,
             "singular": sorted(a.S),
-            "parabolic_order": len(b.W_lambda),
-            "cosets": len(b.min_reps),
-            "min_reps": [list(w.reduced_word()) for w in b.min_reps],
+            "parabolic_order": order,
+            "cosets": len(min_reps),
+            "min_reps": [list(w.reduced_word()) for w in min_reps],
             "max_reps": [list(w.reduced_word()) for w in b.max_reps],
         })
     else:
         print(f"type {g.cartan}, singular {sorted(a.S)}")
-        print(f"|W| = {g.order}, |W_lambda| = {len(b.W_lambda)}, "
-              f"cosets = {len(b.min_reps)}")
-        print("min_reps: " + " ".join(_word_str(w) for w in b.min_reps))
+        print(f"|W| = {g.order}, |W_lambda| = {order}, cosets = {len(min_reps)}")
+        print("min_reps: " + " ".join(_word_str(w) for w in min_reps))
         print("max_reps: " + " ".join(_word_str(w) for w in b.max_reps))
 
 

@@ -10,13 +10,14 @@ must equal the absolute value of the block Möbius number.  A block is
 scanned top-down, witnesses first: each representative first tries the x
 at which a higher one failed.  Results are in index order.
 
-Two exact facts about the dominant-side sums cut the scan's work
-(`_failing_rep` has the proofs).  A KL column of all ones at z = w w0 is a
+The dominant-side sums are read on the block's own cosets, at (w0 x, w0 w)
+(`klv_dominant`).  Two exact facts about them cut the scan's work
+(`_failing_rep` has the proofs).  A KL column of all ones at z = w0 w is a
 certificate: every sum then equals |mu(w, x)|, so w is exact without reading
 one.  By the Carrell-Peterson criterion (Proc. Sympos. Pure Math. 56,
 1994) such a column is one whose Schubert variety is rationally smooth.  And
-a sum only depends on the double coset W_{D_L(z)} (x w0) W_J, J = w0 S w0,
-so it is computed once per double coset, keyed by the table's left climb.
+a sum only depends on the double coset W_{D_L(z)} (w0 x) W_S, so it is
+computed once per double coset, keyed by the table's left climb.
 
 Every stage is built on element indices: the up mask of w, the cover graph,
 the block's coset map and the index matchings of `parabolic`.  Index order is
@@ -37,7 +38,6 @@ from .parabolic import (
     SingularBlock,
     _closure,
     _intersection_pairs,
-    _w0_conjugate,
     complementary_singularity,
     make_block,
 )
@@ -212,22 +212,25 @@ def assign_signs(sk: ComplexSkeleton) -> ComplexSkeleton:
 
 def is_kostant(w: Element, b: SingularBlock, t: KLTable) -> bool:
     """Exactness test: for every representative x above w, the dominant-side
-    singular polynomial must be the constant |Möbius value|."""
+    singular polynomial (`klv_dominant`, b's own coset sum at (w0 x, w0 w))
+    must be the constant |Möbius value|."""
     check_same_group(b.group, w, t)
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
-    return _failing_rep(w.index, b, _w0_conjugate(b), t, 0) < 0
+    return _failing_rep(w.index, b, t, 0) < 0
 
 
-def _failing_rep(wi: int, b: SingularBlock, b_dom: SingularBlock, t: KLTable,
-                 first: int) -> int:
-    """Index of a longest representative x >= w_wi whose dominant-side sum,
-    the coset sum of b_dom = _w0_conjugate(b) at (x w0, w w0), is not
-    |mu(w, x)|, or -1; the x in mask `first` are tried first.
+def _failing_rep(wi: int, b: SingularBlock, t: KLTable, first: int) -> int:
+    """Index of a longest representative x >= w_wi whose dominant-side sum
+    is not |mu(w, x)|, or -1; the x in mask `first` are tried first.
 
-    Let z = w w0, J = sigma(S) = w0 S w0 and x' = x w0, a minimal
-    representative for J.  The sum is that of (-1)^l(u) P_{x'u, z} over the
-    u in W_J with x'u <= z.
+    The paper's sum is the coset sum for sigma(S) = w0 S w0 at (x w0, w w0).
+    Conjugation by w0 is an automorphism of (W, S), so it keeps lengths, the
+    Bruhat order and every P_{y,v} (Kazhdan and Lusztig, Invent. Math. 53,
+    1979), and maps w w0 onto w0 w and x w0 u onto (w0 x)(w0 u w0) with
+    w0 u w0 in W_S.  So with z = w0 w, J = S and x' = w0 x, a minimal
+    representative, the sum is that of (-1)^l(u) P_{x'u, z} over the u in
+    W_J with x'u <= z.
 
     Certificate.  If column z is empty, P_{y,z} = 1 for every y <= z and w
     is exact.  The u with x'u <= z form the interval [e, u_max] of W_J,
@@ -235,8 +238,10 @@ def _failing_rep(wi: int, b: SingularBlock, b_dom: SingularBlock, t: KLTable,
     and Bruhat intervals are Eulerian, so the sum is 1 if u_max = e and 0
     otherwise.  u_max = e iff x's <= z for no s in J, iff [x', z] lies in
     W^J by the lifting property (Björner and Brenti, "Combinatorics of
-    Coxeter Groups", GTM 231: Prop. 2.2.7 and section 2.7).  Multiplying by
-    w0 turns that into [w, x] lying in the block, which is mu(w, x) != 0.
+    Coxeter Groups", GTM 231: Prop. 2.2.7 and section 2.7).  Left
+    multiplication by w0 reverses the order and turns minimal
+    representatives into longest ones, so that is [w, x] lying in the
+    block, which is mu(w, x) != 0.
 
     Shared sums.  For s in D_L(z), P_{sy,z} = P_{y,z}, and y <= z iff
     sy <= z.  Left multiplication by s maps x'W_J onto s x'W_J with the
@@ -245,15 +250,15 @@ def _failing_rep(wi: int, b: SingularBlock, b_dom: SingularBlock, t: KLTable,
     W_{D_L(z)} x' W_J, and is computed once per double coset, keyed by its
     maximum: the left climb of z's table key applied to the top of x'W_J.
     """
-    rw0 = b.group.rmul_w0_indices()
-    zi = rw0[wi]
+    lw0 = b.group.lmul_w0_indices()
+    zi = lw0[wi]
     if not t._cols[zi]:
         return -1
-    coset, signs = b_dom._coset, b_dom._signs
+    coset, signs = b._coset, b._signs
     cl = t._keys[zi][0]
     sums: dict[int, int] = {}
     for xi, nonzero in _mobius_row(b, wi, first):
-        c = coset[rw0[xi]]
+        c = coset[lw0[xi]]
         m = cl[c[-1]]
         p = sums.get(m)
         if p is None:
@@ -267,15 +272,14 @@ def nonkostant_block(g: WeylGroup, S, t: KLTable) -> list[Element]:
     """All longest representatives whose singular complex is not exact, in
     index order.  The scan runs top-down; each w first tries the witnesses,
     the x at which a higher representative failed.  A w whose KL column at
-    w w0 is all ones is exact at once, and the others compute one sum per
+    w0 w is all ones is exact at once, and the others compute one sum per
     double coset (see `_failing_rep`)."""
     check_same_group(g, t)
     b = make_block(g, S)
-    b_dom = _w0_conjugate(b)
     witnesses = 0
     bad = []
     for wi in reversed(b._maxrep_indices):
-        xi = _failing_rep(wi, b, b_dom, t, witnesses)
+        xi = _failing_rep(wi, b, t, witnesses)
         if xi >= 0:
             witnesses |= 1 << xi
             bad.append(wi)
@@ -304,4 +308,4 @@ def s_category_has_bgg(w: Element, b: SingularBlock, t: KLTable) -> bool:
         raise DomainError(
             f"{w!r} is not a longest right-coset representative"
         )
-    return _failing_rep(wi, b, _w0_conjugate(b), t, 0) < 0
+    return _failing_rep(wi, b, t, 0) < 0

@@ -53,12 +53,13 @@ a build gives.
 The singular polynomials are alternating sums of ordinary entries over a
 coset of a parabolic subgroup, summed by one kernel, `_coset_sum`, over a
 block's `_coset` tuple paired with its row of signs, `_signs`.  The
-exactness test reads them on the block of the singularity set conjugated
-by w0, at (x w0, w w0).  It reads the table's keys too: an empty column z
-(P_{y,z} = 1 for all y <= z) decides every sum at z without reading one,
-and since P_{sy,z} = P_{y,z} for s in D_L(z), a coset sum at z only
-depends on the coset's double coset under W_{D_L(z)} on the left, whose
-maximum is the left climb cl of the coset's top.
+exactness test reads them on the block's own cosets at (w0 x, w0 w),
+where they equal the paper's sums at (x w0, w w0) for the singularity set
+conjugated by w0 (see `klv_dominant`).  It reads the table's keys too: an
+empty column z (P_{y,z} = 1 for all y <= z) decides every sum at z without
+reading one, and since P_{sy,z} = P_{y,z} for s in D_L(z), a coset sum at z
+only depends on the coset's double coset under W_{D_L(z)} on the left,
+whose maximum is the left climb cl of the coset's top.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from operator import ge, lt
 
 from .bruhat import cover_graph, down_masks, index_mask, iter_indices, leq
 from .errors import DomainError, InputError
-from .parabolic import SingularBlock, _w0_conjugate
+from .parabolic import SingularBlock
 from .weyl import Element, WeylGroup, check_same_group
 
 Coeffs = tuple[int, ...]
@@ -353,18 +354,22 @@ def klv_dominant(
     t: KLTable, b: SingularBlock, w: Element, x: Element
 ) -> IntPolynomial:
     """The exactness-test polynomial for the pair (w, x) of longest
-    representatives: the singular polynomial at arguments (x w0, w w0) for
-    the singularity set conjugated by w0."""
+    representatives: b's singular polynomial at (w0 x, w0 w).
+
+    The paper reads it at (x w0, w w0) for sigma(S) = w0 S w0.  Conjugation
+    by w0 is an automorphism of (W, S) that keeps lengths, the Bruhat order
+    and every P_{y,v} (Kazhdan and Lusztig, Invent. Math. 53, 1979), and it
+    maps w w0 onto w0 w and x w0 u onto (w0 x)(w0 u w0) with w0 u w0 in
+    W_S, so the two sums agree term by term."""
     check_same_group(t.group, b, w, x)
     for e in (w, x):
         if not b.contains_max_rep(e):
             raise DomainError(f"{e!r} is not a longest coset representative")
     if not leq(w, x):
         raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
-    rw0 = b.group.rmul_w0_indices()
-    b_dom = _w0_conjugate(b)
-    return IntPolynomial(_unpack(_coset_sum(t, b_dom._coset[rw0[x.index]], b_dom._signs,
-                                            rw0[w.index])))
+    lw0 = b.group.lmul_w0_indices()
+    return IntPolynomial(_unpack(_coset_sum(t, b._coset[lw0[x.index]], b._signs,
+                                            lw0[w.index])))
 
 
 def _coset_sum(t: KLTable, ys, signs, zi: int) -> int:

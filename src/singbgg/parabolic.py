@@ -9,8 +9,7 @@ It keeps one coset map, built once from the right multiplication table:
 _coset[i] is the coset m W_lambda of element i as the indices of the m u,
 u in W_lambda in index order, one tuple shared by the coset, and _signs is
 the row of (-1)^l(u).  The singular polynomials are the signed sums over a
-coset; the exactness test reads them on the block of the singularity set
-conjugated by w0.
+coset; the exactness test reads them on the block's own cosets.
 
 The coset helpers and matchings work on element indices and Bruhat-order
 bitmasks, and make Elements only for the results they return.  They read
@@ -35,7 +34,7 @@ def _closure(i: int, rows: list[list[int]]) -> list[int]:
 
 
 class SingularBlock:
-    """Derived data of a parabolic subgroup W_lambda; only _conjugate changes."""
+    """Derived data of a parabolic subgroup W_lambda, never changed once built."""
 
     def __init__(self, g: WeylGroup, S: frozenset[int]):
         g.require_enumerated()
@@ -45,7 +44,6 @@ class SingularBlock:
         self._wlambda_indices = wl = _closure(0, [rmul[s - 1] for s in S])
         self._w0_lambda_idx = wl[-1]
         self._signs = tuple(-1 if lengths[u] % 2 else 1 for u in wl)  # (-1)^l(u)
-        self._conjugate: SingularBlock | None = None  # set by _w0_conjugate
 
         # _coset[i] lists i's coset m W_lambda as m u = (m u') s, u in wl order:
         # s ends u's ShortLex word and u' = u s is listed before u.  Index order
@@ -125,18 +123,6 @@ def make_block(g: WeylGroup, S) -> SingularBlock:
     if S not in g._blocks:
         g._blocks[S] = SingularBlock(g, S)
     return g._blocks[S]  # type: ignore[return-value]
-
-
-def _w0_conjugate(b: SingularBlock) -> SingularBlock:
-    """The block of sigma(S) = w0 S w0, whose cosets the exactness test sums
-    over; b's own where w0 is central (A1, B, C, even D, E7, E8, F4, G2).
-    w0 s w0 = (w0 s) w0 is a simple reflection, named by its one-letter word.
-    Resolved once per block and kept on it."""
-    if b._conjugate is None:
-        g = b.group
-        rw0, top = g.rmul_w0_indices(), g.order - 1
-        b._conjugate = make_block(g, {g._words[rw0[g._rmul[s - 1][top]]][0] for s in b.S})
-    return b._conjugate
 
 
 def kostant_decompose(v: Element, b: SingularBlock) -> tuple[Element, Element]:

@@ -98,7 +98,7 @@ class WeylGroup:
         self._down_masks: list[int] | None = None
         self._up_masks: list[int] | None = None
         self._blocks: dict[frozenset[int], object] = {}
-        self._rw0: list[int] | None = None
+        self._lw0: list[int] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -224,14 +224,14 @@ class WeylGroup:
 
     # -- index-level tables used by the heavier modules -----------------------
 
-    def rmul_w0_indices(self) -> list[int]:
-        """rmul_w0_indices()[i] is the index of w_i * w0 (built on first use):
-        (w w0)(rho) = w(-rho) = -w(rho)."""
+    def lmul_w0_indices(self) -> list[int]:
+        """lmul_w0_indices()[i] is the index of w0 * w_i (built on first use):
+        w0 w = (w^-1 w0)^-1 and (v w0)(rho) = v(-rho) = -v(rho)."""
         self.require_enumerated()
-        if self._rw0 is None:
-            index = self._index
-            self._rw0 = [index[tuple(-m for m in mu)] for mu in self._weights]
-        return self._rw0
+        if self._lw0 is None:
+            index, inv, weights = self._index, self._inv, self._weights
+            self._lw0 = [inv[index[tuple(-m for m in weights[k])]] for k in inv]
+        return self._lw0
 
 
 @total_ordering

@@ -28,6 +28,7 @@ from singbgg import (
     translate_skeleton,
     upper_covers,
 )
+from singbgg.bruhat import down_masks, iter_indices
 from singbgg.errors import DomainError
 
 
@@ -220,11 +221,18 @@ def check_dominant_support(g, S):
 
 
 def check_dynkin_symmetry(g, t):
+    """P_{y,w} = P_{w0 y w0, w0 w w0} on every comparable pair; returns the
+    number of pairs and of elements that conjugation by w0 moves."""
     w0 = g.longest_element()
-    for y in g.elements():
-        for w in g.elements():
-            if leq(y, w):
-                assert t.polynomial(y, w) == t.polynomial(w0 * y * w0, w0 * w * w0)
+    conj = [(w0 * y * w0).index for y in g.elements()]
+    poly = t.polynomial_by_index
+    pairs = 0
+    for wi, down in enumerate(down_masks(g)):
+        cw = conj[wi]
+        for yi in iter_indices(down):
+            pairs += 1
+            assert poly(yi, wi) == poly(conj[yi], cw), (yi, wi)
+    return pairs, sum(c != i for i, c in enumerate(conj))
 
 
 def check_klv_regular_reduction(g, t, pairs):

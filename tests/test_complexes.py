@@ -24,6 +24,7 @@ from singbgg import (
     cut_equalities,
     dominant_support,
     is_kostant,
+    kl_table,
     klv_dominant,
     klv_polynomial,
     kostant_decompose,
@@ -445,18 +446,18 @@ def test_witness_scan_work_count(monkeypatch):
 
 @pytest.mark.parametrize("fam,rank", RANK_LE_3 + [("A", 4), ("B", 4), ("D", 4)])
 def test_rationally_smooth_representatives_are_kostant(fam, rank):
-    # The scan accepts w as soon as the KL column of z = w w0 is all ones.
+    # The scan accepts w as soon as the KL column of z = w0 w is all ones.
     # By Carrell-Peterson that column is all ones iff the Schubert variety of
     # z is rationally smooth, which the oracle reads off the Bruhat order
     # alone; the pairwise test reads klv_dominant, which takes no shortcut.
     g = get_group(fam, rank)
     t = get_table(fam, rank)
-    rw0 = g.rmul_w0_indices()
+    lw0 = g.lmul_w0_indices()
     checked = 0
     for S in all_singularities(rank):
         b = make_block(g, S)
         for w in b.max_reps:
-            if rationally_smooth(g, rw0[w.index]):
+            if rationally_smooth(g, lw0[w.index]):
                 checked += 1
                 assert _kostant_by_pairs(w, b, t), (S, w)
     assert checked
@@ -471,22 +472,21 @@ def test_empty_kl_column_is_rational_smoothness():
 @pytest.mark.parametrize("fam,smallest", [("B", 0), ("F", 2)])
 def test_dominant_sums_constant_on_double_cosets(fam, smallest):
     # The scan computes one sum per double coset W_I x' W_J, with
-    # I = D_L(w w0), x' = x w0 and J = sigma(S), keyed by the left climb of
-    # the top of x' W_J.  The oracle finds the double cosets by closure;
+    # I = D_L(w0 w), x' = w0 x and J = S, keyed by the left climb of the top
+    # of x' W_J.  The oracle finds the double cosets by closure;
     # klv_dominant must agree on every x in one.  F4 runs the blocks with
     # |S| >= 2 only: the others take about 820,000 reads.
     g, t = get_group(fam, 4), get_table(fam, 4)
-    rw0 = g.rmul_w0_indices()
+    lw0 = g.lmul_w0_indices()
     lmul, up = g._lmul, up_masks(g)
     tops, groups = {}, 0
     for S in all_singularities(4):
         if len(S) < smallest:
             continue
         b = make_block(g, S)
-        b_dom = complexes._w0_conjugate(b)
-        right = sum(1 << (s - 1) for s in b_dom.S)
+        right = sum(1 << (s - 1) for s in S)
         for w in b.max_reps:
-            zi = rw0[w.index]
+            zi = lw0[w.index]
             left = sum(1 << s for s in range(4) if lmul[s][zi] < zi)
             if (left, right) not in tops:
                 tops[left, right] = double_coset_maxima(g, left, right)
@@ -494,8 +494,8 @@ def test_dominant_sums_constant_on_double_cosets(fam, smallest):
             cl = t._keys[zi][0]
             by_top = {}
             for xi in iter_indices(up[w.index] & b._maxrep_mask):
-                xp = rw0[xi]
-                assert cl[b_dom._coset[xp][-1]] == top[xp]
+                xp = lw0[xi]
+                assert cl[b._coset[xp][-1]] == top[xp]
                 by_top.setdefault(top[xp], []).append(g.element_by_index(xi))
             for xs in by_top.values():
                 if len(xs) > 1:
@@ -525,12 +525,12 @@ def test_loaded_table_scans_like_the_built_one(tmp_path, fam):
 def test_regular_block_matches_rational_smoothness(fam, rank, count):
     # For S = {} the block poset is W, Bruhat intervals are Eulerian and
     # |mu| = 1 on every comparable pair, so w is Kostant iff P_{y,v} = 1 for
-    # all y <= v = w w0, iff the Schubert variety of v is rationally smooth
+    # all y <= v = w0 w, iff the Schubert variety of v is rationally smooth
     # (Carrell-Peterson).  The oracle reads no KL polynomial.
     budget = 1920 if (fam, rank) == ("D", 5) else None  # D5 is above the default
     g, t = get_group(fam, rank, budget), get_table(fam, rank, budget)
-    rw0 = g.rmul_w0_indices()
-    expect = [wi for wi in range(g.order) if not rationally_smooth(g, rw0[wi])]
+    lw0 = g.lmul_w0_indices()
+    expect = [wi for wi in range(g.order) if not rationally_smooth(g, lw0[wi])]
     assert [w.index for w in nonkostant_block(g, set(), t)] == expect
     assert len(expect) == count
 
@@ -602,6 +602,19 @@ def test_klv_dominant_matches_conjugated_block():
                         assert (klv_dominant(t, b, w, x) == klv_polynomial(
                             t, b_dom, x * w0, w * w0)), (fam, rank, S, w, x)
         assert (conjugated, pairs) == (moved, compared), (fam, rank)
+
+
+def test_exactness_reads_only_the_queried_block():
+    # In A4, S = {1} has sigma(S) = {4}; every exactness query on S reads
+    # S's own cosets and builds no block of {4}.
+    g = WeylGroup(CartanType("A", 4))  # a group of its own: no cached blocks
+    t = kl_table(g)
+    b = make_block(g, {1})
+    w, w0 = b.w0_lambda, g.longest_element()  # w = s1 is its own inverse
+    assert is_kostant(w, b, t) == s_category_has_bgg(w, b, t)
+    assert klv_dominant(t, b, w, w0) == IntPolynomial((0,))
+    assert nonkostant_block(g, {1}, t)
+    assert set(g._blocks) == {frozenset({1})}
 
 
 class _Mixed:

@@ -159,12 +159,12 @@ def test_longest_element_without_enumeration():
     assert e6.longest_element().length == len(positive_roots(e6.cartan)) == 36
 
 
-def test_rmul_w0_indices():
+def test_lmul_w0_indices():
     for fam, rank in [("B", 3), ("A", 4), ("B", 4), ("D", 4), ("F", 4)]:
         g = get_group(fam, rank)
         perms = index_perms(g)
         index = {p: i for i, p in enumerate(perms)}
-        assert g.rmul_w0_indices() == [index[_compose(p, perms[-1])] for p in perms]
+        assert g.lmul_w0_indices() == [index[_compose(perms[-1], p)] for p in perms]
 
 
 def test_element_order_matches_index_order():
