@@ -8,14 +8,13 @@ s_i(mu) = mu - mu_i alpha_i, with alpha_i the i-th column of the integer
 Cartan matrix, so everything is integer arithmetic on ``rank`` coordinates.
 
 Groups of order up to the element budget (default 1152, override with the
-``BGG_ELEMENT_BUDGET`` environment variable) are fully enumerated at build
-time, one length layer at a time, so elements come out indexed by (length,
-ShortLex reduced word) with no sort, together with index tables for left and
-right multiplication by simple reflections and for inversion, which is all
-the heavier modules use.  The inversion table is read off the left
+``BGG_ELEMENT_BUDGET`` environment variable) are enumerated at build time by
+`_orbit`, the one layered loop, as the orbit of rho, so elements come out
+indexed by (length, ShortLex reduced word) with no sort.  The same loop from
+lambda_S gives the quotient W^S.  The inversion table is read off the left
 multiplication table along each reduced word, and the right table off those
-two.  Larger groups (the big E types) still support element arithmetic but
-refuse full-table operations.
+two; these index tables are all the heavier modules use.  Larger groups (the
+big E types) still support element arithmetic but refuse full-table operations.
 """
 
 from __future__ import annotations
@@ -37,6 +36,40 @@ def _reflect(cols: list[Weight], mu: Weight, i: int) -> Weight:
     fundamental-weight coordinates (column i of the Cartan matrix)."""
     c = mu[i]
     return tuple([m - c * a for m, a in zip(mu, cols[i])])
+
+
+def _orbit(cols: list[Weight], lam: Weight):
+    """The orbit of the dominant weight lam, layer by layer with no sort:
+    (weights, words, lengths, index, lmul).  A new q = s*mu is first met with
+    s its smallest left descent and mu in index order, so points come out in
+    (length, ShortLex word) order.  From rho the points are W.  From lambda_S
+    (0 on S, 1 elsewhere) they are the minimal representatives m of W^S, as
+    m(lambda_S): m's left descents are its negative coordinates and a zero
+    coordinate means s*m is not in W^S, so stripping the first negative one
+    gives m's ShortLex word.  Where s fixes a point, lmul[s][k] == k.
+    """
+    weights: list[Weight] = [lam]
+    words: list[tuple[int, ...]] = [()]
+    lengths = [0]
+    index: dict[Weight, int] = {lam: 0}
+    lmul: list[list[int]] = [[-1] for _ in cols]
+    start, end = 0, 1
+    while start < end:
+        for s, row in enumerate(lmul):
+            for i in range(start, end):
+                if row[i] < 0:  # s is not a left descent of w_i
+                    q = _reflect(cols, weights[i], s)
+                    j = index.get(q)
+                    if j is None:
+                        j = index[q] = len(weights)
+                        weights.append(q)
+                        words.append((s + 1,) + words[i])
+                        lengths.append(lengths[i] + 1)
+                        for r in lmul:
+                            r.append(-1)
+                    row[i], row[j] = j, i
+        start, end = end, len(weights)
+    return weights, words, lengths, index, lmul
 
 
 def _element_budget() -> int:
@@ -103,33 +136,8 @@ class WeylGroup:
     # -- construction helpers -------------------------------------------------
 
     def _enumerate(self) -> None:
-        """Index the elements one length layer at a time, with no sort.
-
-        A new q = s*w of the next layer is first met with s its smallest left
-        descent and w in index order, so layers come out in ShortLex order.
-        """
-        cols = self._cols
-        weights: list[Weight] = [self._rho]
-        words: list[tuple[int, ...]] = [()]
-        lengths = [0]
-        index: dict[Weight, int] = {self._rho: 0}
-        lmul: list[list[int]] = [[-1] for _ in cols]
-        start, end = 0, 1
-        while start < end:
-            for s, row in enumerate(lmul):
-                for i in range(start, end):
-                    if row[i] < 0:  # s is not a left descent of w_i
-                        q = _reflect(cols, weights[i], s)
-                        j = index.get(q)
-                        if j is None:
-                            j = index[q] = len(weights)
-                            weights.append(q)
-                            words.append((s + 1,) + words[i])
-                            lengths.append(lengths[i] + 1)
-                            for r in lmul:
-                                r.append(-1)
-                        row[i], row[j] = j, i
-            start, end = end, len(weights)
+        """Index the elements as the orbit of rho, then check and extend the tables."""
+        weights, words, lengths, index, lmul = _orbit(self._cols, self._rho)
         if len(weights) != self.order:
             raise AssertionError(
                 f"closure found {len(weights)} elements, expected {self.order}"
@@ -199,8 +207,6 @@ class WeylGroup:
     def longest_element(self) -> "Element":
         """The unique element of maximal length, w0(rho) = -rho; the last
         index of an enumerated group."""
-        if self._enumerated:
-            return self.element_by_index(self.order - 1)
         return Element(self, (-1,) * self.rank)
 
     def element_by_index(self, i: int) -> "Element":
@@ -259,11 +265,7 @@ class Element:
     def reduced_word(self) -> tuple[int, ...]:
         """ShortLex-minimal reduced word."""
         if self._word is None:
-            g = self.group
-            if g._enumerated:
-                self._word = g._words[self.index]
-            else:
-                self._word = g._shortlex_word(self.weight)
+            self._word = self.group._shortlex_word(self.weight)
         return self._word
 
     def __mul__(self, other: "Element") -> "Element":
@@ -290,10 +292,7 @@ class Element:
         """
         if not isinstance(other, Element):
             return NotImplemented
-        g = self.group
-        check_same_group(g, other)
-        if g._enumerated:
-            return self.index < other.index
+        check_same_group(self.group, other)
         return (self.length, self.reduced_word()) < (other.length, other.reduced_word())
 
     def __hash__(self) -> int:

@@ -371,3 +371,30 @@ def double_coset_maxima(g, left, right):
         for x in coset:
             top[x] = m
     return top
+
+
+def lambda_S(rank, S):
+    """lambda_S: 0 at the indices in S, 1 elsewhere; its orbit is W^S."""
+    return tuple(0 if i in S else 1 for i in range(1, rank + 1))
+
+
+def quotient_down_masks(orbit):
+    """Bruhat order of W^S from `weyl._orbit`'s output, by the lifting rule:
+    down[k] has bit j set iff point j <= point k.
+
+    For v != e let s be the first letter of v's word and v' = s*v.  Then
+    [e, v] = [e, v'] ∪ {v} ∪ s*{y in [e, v'] : mu_y[s] > 0}: a zero coordinate
+    means s*y is not in W^S, and a negative one that s*y < y is in [e, v'].
+    """
+    weights, words, _, _, lmul = orbit
+    down = [1]
+    for v in range(1, len(weights)):
+        s = words[v][0] - 1
+        row = lmul[s]
+        below = down[row[v]]
+        mask = below | 1 << v
+        for y in iter_indices(below):
+            if weights[y][s] > 0:
+                mask |= 1 << row[y]
+        down.append(mask)
+    return down

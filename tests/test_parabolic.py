@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import properties
-from helpers import all_singularities, get_group
+from helpers import all_singularities, get_group, lambda_S, quotient_down_masks
 from singbgg import (
     CartanType,
     build_group,
@@ -16,11 +16,14 @@ from singbgg import (
     leq,
     make_block,
     partition_pairs,
+    positive_roots,
     singularity_from_weight,
 )
 from singbgg import parabolic
+from singbgg.bruhat import down_masks
 from singbgg.errors import DomainError, InputError
 from singbgg.parabolic import SingularBlock
+from singbgg.weyl import _orbit
 
 
 def test_block_sizes():
@@ -252,3 +255,78 @@ def test_complementary_singularity():
     assert complementary_singularity(make_block(g, {2})) == {1, 3}
     assert complementary_singularity(make_block(g, frozenset())) == {1, 2, 3}
     assert complementary_singularity(make_block(g, {1, 2, 3})) == frozenset()
+
+
+@pytest.mark.parametrize("fam,rank", [
+    ("G", 2), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+    ("C", 4), ("D", 3), ("D", 4), ("F", 4), ("A", 5), ("D", 5),
+])
+def test_orbit_of_lambda_S_is_the_quotient(fam, rank):
+    # The orbit of lambda_S lists W^S: the block's minimal representatives in
+    # index order, with their words and lengths, and the action on cosets.
+    budget = 1920 if (fam, rank) == ("D", 5) else None  # D5 is above the default
+    g = get_group(fam, rank, budget)
+    for S in all_singularities(rank):
+        b = make_block(g, S)
+        reps = b._minrep_indices
+        weights, words, lengths, _, lmul = _orbit(g._cols, lambda_S(rank, S))
+        assert len(weights) * len(b._wlambda_indices) == g.order
+        assert words == [g._words[m] for m in reps], S
+        assert lengths == [g._lengths[m] for m in reps], S
+        point = {m: k for k, m in enumerate(reps)}
+        for s, row in enumerate(lmul):
+            for k, m in enumerate(reps):
+                sm = g._lmul[s][m]
+                first = b._coset[sm][0]
+                assert row[k] == point[first]
+                # a self-entry exactly where s*m is not a minimal representative
+                assert (row[k] == k) == (first != sm)
+
+
+@pytest.mark.parametrize("fam,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+    ("C", 4), ("D", 3), ("D", 4), ("G", 2), ("F", 4),
+])
+def test_quotient_order_by_lifting(fam, rank):
+    # the lifting rule on the orbit gives Bruhat order restricted to W^S
+    g = get_group(fam, rank)
+    down = down_masks(g)
+    for S in all_singularities(rank):
+        reps = make_block(g, S)._minrep_indices
+        expect = [sum(1 << k for k, r in enumerate(reps) if down[m] >> r & 1)
+                  for m in reps]
+        assert quotient_down_masks(_orbit(g._cols, lambda_S(rank, S))) == expect, S
+
+
+def _quotient_length_counts(g, S, roots):
+    """Length counts of the orbit of lambda_S, checked for the structure of
+    W^S: palindromic, with one point of top length N - N_S, and that point
+    w0 lambda_S has no positive coordinate."""
+    weights, _, lengths, _, _ = _orbit(g._cols, lambda_S(g.rank, S))
+    n_s = sum(all(c == 0 or i + 1 in S for i, c in enumerate(r)) for r in roots)
+    top = len(roots) - n_s
+    counts = [lengths.count(k) for k in range(top + 1)]
+    assert lengths[-1] == top and counts[-1] == 1 and len(lengths) == sum(counts)
+    assert counts == counts[::-1]
+    assert all(c <= 0 for c in weights[-1])
+    return counts
+
+
+def test_orbit_structure_above_the_budget():
+    e6 = build_group(CartanType("E", 6))
+    assert not e6.enumerated
+    roots = positive_roots(e6.cartan)
+    sigma = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}  # the diagram automorphism
+    counts = {S: _quotient_length_counts(e6, S, roots) for S in all_singularities(6)}
+    for S, c in counts.items():
+        sub = sorted(S)
+        cols = [tuple(e6._cols[j - 1][i - 1] for i in sub) for j in sub]
+        w_s = len(_orbit(cols, (1,) * len(sub))[0])
+        assert sum(c) * w_s == e6.order == 51_840, S
+        assert counts[frozenset(sigma[i] for i in S)] == c, S
+    for n, S, size in [(7, range(1, 7), 56), (7, (1, 2, 3, 4, 5, 7), 756),
+                       (8, range(1, 8), 240), (8, range(2, 9), 2_160)]:
+        g = build_group(CartanType("E", n))
+        assert not g.enumerated
+        counts = _quotient_length_counts(g, frozenset(S), positive_roots(g.cartan))
+        assert sum(counts) == size

@@ -1,5 +1,7 @@
 """Cartan data and Weyl group element arithmetic."""
 
+import random
+
 import pytest
 
 from helpers import _compose, _invert, get_group, index_perms, root_model, shortlex_tables
@@ -149,6 +151,7 @@ def test_longest_element_is_last_index():
         # every positive root sent negative
         assert all(a < 0 for a in root_model(g.cartan).of_word(w0.reduced_word()))
         assert g.longest_element() == w0
+        assert w0.reduced_word() == g._words[-1]  # the table's word
 
 
 def test_longest_element_without_enumeration():
@@ -192,16 +195,27 @@ def test_index_order_is_length_shortlex():
     assert keys == sorted(keys)
     for i, w in enumerate(els):
         assert w.index == i
+    # elements rebuilt from words carry no cached index or word, and still
+    # sort into index order
+    rng = random.Random(0)
+    for fam, rank in [("B", 4), ("F", 4)]:
+        g = get_group(fam, rank)
+        fresh = [g.from_word(word) for word in g._words]
+        rng.shuffle(fresh)
+        assert all(w._index is None and w._word is None for w in fresh)
+        assert [w.index for w in sorted(fresh)] == list(range(g.order))
 
 
-@pytest.mark.parametrize("fam,rank", [("G", 2), ("A", 4), ("B", 4), ("D", 4), ("F", 4)])
+@pytest.mark.parametrize("fam,rank", [
+    ("G", 2), ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4),
+])
 def test_layered_tables_match_shortlex_sort(fam, rank):
     g = get_group(fam, rank)
     tables = (g._weights, g._words, g._lengths, g._lmul, g._rmul, g._inv)
     assert tables == shortlex_tables(g)
 
 
-def test_reduced_word_reads_the_table():
+def test_reduced_word_is_shortlex_from_the_weight():
     g = get_group("B", 4)
     small = build_group(CartanType("B", 4), budget=10)
     for w in g.elements()[::7]:
