@@ -1,13 +1,18 @@
 """Bruhat order: cover relations, comparisons and intervals.
 
-The cover graph is built once per group from the left multiplication table
-by the lifting property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-2.2), and kept on the group as one `CoverGraph` record.  Order queries use
-transitive-closure bitmasks over the element indexing, so `leq` and interval
-extraction are O(1)-ish big-integer operations.  Every query here needs the
-enumerated group: above the element budget they raise BudgetError.  A set of
-element indices is a bitmask; `index_mask` and `iter_indices` convert between
-the two.
+`_cover_lists` is the one cover loop.  It runs on any orbit's (lmul, words)
+from `weyl._orbit`, by the lifting property: for w != e with first letter s
+and v = s*w, the lower covers of w are v and the s*c > c over the lower
+covers c of v.  On the orbit of rho this gives W (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, 2.2), and on the orbit of lambda_S the
+Bruhat order of W^S (ibid. 2.5; Deodhar, Invent. Math. 39, 1977), tested
+against W's order on every block of rank <= 4, F4, A5 and D5, and against
+an independent lifting rule on E6-E8 quotients of up to 2,160 cosets.
+`cover_graph` keeps W's covers on the group as one `CoverGraph`, and
+`_closure` turns cover lists into the bitmasks behind `leq` and `interval`.
+Queries on a group need it enumerated: above the element budget they raise
+BudgetError.  A set of element indices is a bitmask; `index_mask` and
+`iter_indices` convert between the two.
 """
 
 from __future__ import annotations
@@ -26,26 +31,30 @@ class CoverGraph(namedtuple("CoverGraph", "group upper lower")):
 
 
 def cover_graph(g: WeylGroup) -> CoverGraph:
-    """Covers by the lifting property, in index order; built once per group.
-
-    For w != e let s be the first letter of its ShortLex word and v = s*w.
-    The lower covers of w are v and the s*c > c over the lower covers c of v.
-    """
+    """W's covers, in index order; built once per group."""
     g.require_enumerated()
     if g._covers is None:
-        lmul, words = g._lmul, g._words
-        upper: list[list[int]] = [[] for _ in range(g.order)]
-        lower: list[list[int]] = [[] for _ in range(g.order)]
-        for w in range(1, g.order):
-            row = lmul[words[w][0] - 1]
-            v = row[w]
-            low = [v] + [row[c] for c in lower[v] if row[c] > c]
-            low.sort()
-            lower[w] = low
-            for c in low:
-                upper[c].append(w)
-        g._covers = CoverGraph(g, upper, lower)
+        g._covers = CoverGraph(g, *_cover_lists(g._lmul, g._words))
     return g._covers
+
+
+def _cover_lists(lmul: list[list[int]], words: list[tuple[int, ...]]):
+    """(upper, lower) covers, in index order, of any orbit's points from its
+    `weyl._orbit` rows and words, by the lifting property (module docstring).
+    A c with s*c not in W^S holds the self-entry lmul[s][c] == c, which the
+    row[c] > c test skips."""
+    n = len(words)
+    upper: list[list[int]] = [[] for _ in range(n)]
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for w in range(1, n):
+        row = lmul[words[w][0] - 1]
+        v = row[w]
+        low = [v] + [row[c] for c in lower[v] if row[c] > c]
+        low.sort()
+        lower[w] = low
+        for c in low:
+            upper[c].append(w)
+    return upper, lower
 
 
 def down_masks(g: WeylGroup) -> list[int]:

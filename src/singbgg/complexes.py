@@ -290,7 +290,7 @@ def dominant_support(b: SingularBlock) -> set[Element]:
     """Support of the most singular dominant parameter: the complementary
     parabolic subgroup times the longest singular element."""
     g = b.group
-    w0i = b._w0_lambda_idx
+    w0i = b._wlambda_indices[-1]
     # the coset W_{S^c} w0_lambda
     out = _closure(w0i, [g._lmul[s - 1] for s in complementary_singularity(b)])
     if out != [xi for xi, nonzero in _mobius_row(b, w0i) if nonzero]:

@@ -8,6 +8,8 @@ set, and is (-1)^(length difference) otherwise.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .bruhat import down_masks, iter_indices, leq, up_masks
 from .errors import DomainError
 from .parabolic import SingularBlock
@@ -50,19 +52,11 @@ def _mobius_row(b: SingularBlock, wi: int, first: int = 0):
             yield xi, not outside & down[xi]
 
 
-class GradedSupport:
-    """The support X_w, graded by length above the base element."""
+class GradedSupport(namedtuple("GradedSupport", "base strata block")):
+    """The support X_w, graded by length above the base element: strata[i]
+    lists the x with l(x) - l(w) = i.  Immutable, compared by value."""
 
-    def __init__(self, base: Element, strata: list[list[Element]], block: SingularBlock):
-        self.base = base
-        self.strata = strata
-        self.block = block
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base, self.strata, self.block)
-                == (other.base, other.strata, other.block))
+    __slots__ = ()
 
     def flatten(self) -> list[Element]:
         return [x for stratum in self.strata for x in stratum]

@@ -42,7 +42,6 @@ class SingularBlock:
         self.S = S
         lengths, rmul = g._lengths, g._rmul
         self._wlambda_indices = wl = _closure(0, [rmul[s - 1] for s in S])
-        self._w0_lambda_idx = wl[-1]
         self._signs = tuple(-1 if lengths[u] % 2 else 1 for u in wl)  # (-1)^l(u)
 
         # _coset[i] lists i's coset m W_lambda as m u = (m u') s, u in wl order:
@@ -82,7 +81,7 @@ class SingularBlock:
 
     @property
     def w0_lambda(self) -> Element:
-        return self.group.element_by_index(self._w0_lambda_idx)
+        return self.group.element_by_index(self._wlambda_indices[-1])
 
     @property
     def min_reps(self) -> list[Element]:

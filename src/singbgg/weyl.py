@@ -221,10 +221,6 @@ class WeylGroup:
         self.require_enumerated()
         return [self.element_by_index(i) for i in range(self.order)]
 
-    def index_of(self, w: "Element") -> int:
-        self.require_enumerated()
-        return self._index[w.weight]
-
     def __repr__(self) -> str:
         return f"WeylGroup({self.cartan.family!r}, {self.rank})"
 
@@ -259,7 +255,8 @@ class Element:
     @property
     def index(self) -> int:
         if self._index is None:
-            self._index = self.group.index_of(self)
+            self.group.require_enumerated()
+            self._index = self.group._index[self.weight]
         return self._index
 
     def reduced_word(self) -> tuple[int, ...]:

@@ -347,8 +347,8 @@ def test_dominant_support_self_check_fires(monkeypatch):
     # A Möbius row missing one element of the closed form must be caught.
     g = get_group("B", 3)
     b = make_block(g, {2, 3})
-    row = list(complexes._mobius_row(b, b._w0_lambda_idx))
-    assert (b._w0_lambda_idx, True) in row
+    row = list(complexes._mobius_row(b, b._wlambda_indices[-1]))
+    assert (b._wlambda_indices[-1], True) in row
     monkeypatch.setattr(complexes, "_mobius_row",
                         lambda b, wi: [(xi, nz) for xi, nz in row if xi != wi])
     with pytest.raises(AssertionError, match="disagrees with the Möbius support"):

@@ -97,6 +97,10 @@ def test_support_compares_by_value():
     assert gs is not again and gs == again
     assert gs != GradedSupport(gs.base, gs.strata[:1], gs.block)
     assert gs != GradedSupport(gs.base, gs.strata, make_block(g, {2}))
+    for field in GradedSupport._fields:
+        with pytest.raises(AttributeError):
+            setattr(gs, field, None)
+    assert gs == again and w in gs
 
 
 def test_support_a3_non_interval():

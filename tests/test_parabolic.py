@@ -20,7 +20,15 @@ from singbgg import (
     singularity_from_weight,
 )
 from singbgg import parabolic
-from singbgg.bruhat import down_masks
+from singbgg.bruhat import (
+    _closure,
+    _cover_lists,
+    cover_graph,
+    down_masks,
+    index_mask,
+    iter_indices,
+    up_masks,
+)
 from singbgg.errors import DomainError, InputError
 from singbgg.parabolic import SingularBlock
 from singbgg.weyl import _orbit
@@ -283,26 +291,58 @@ def test_orbit_of_lambda_S_is_the_quotient(fam, rank):
                 assert (row[k] == k) == (first != sm)
 
 
+def _restricted(masks, point):
+    """The masks of the elements m in `point`, each read on `point`: bit
+    point[r] for each r of `point` in masks[m]."""
+    keep = index_mask(point)
+    return [index_mask(map(point.__getitem__, iter_indices(masks[m] & keep)))
+            for m in point]
+
+
 @pytest.mark.parametrize("fam,rank", [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
-    ("C", 4), ("D", 3), ("D", 4), ("G", 2), ("F", 4),
+    ("C", 4), ("D", 3), ("D", 4), ("G", 2), ("F", 4), ("A", 5), ("D", 5),
 ])
 def test_quotient_order_by_lifting(fam, rank):
-    # the lifting rule on the orbit gives Bruhat order restricted to W^S
-    g = get_group(fam, rank)
-    down = down_masks(g)
+    # The lifting rule on the orbit, and the cover loop run on the orbit's
+    # tables, give Bruhat order restricted to W^S.  On W the loop is
+    # cover_graph's.
+    budget = 1920 if (fam, rank) == ("D", 5) else None  # D5 is above the default
+    g = get_group(fam, rank, budget)
+    cg = cover_graph(g)
+    assert _cover_lists(g._lmul, g._words) == (cg.upper, cg.lower)
+    down, up = down_masks(g), up_masks(g)
     for S in all_singularities(rank):
         reps = make_block(g, S)._minrep_indices
-        expect = [sum(1 << k for k, r in enumerate(reps) if down[m] >> r & 1)
-                  for m in reps]
-        assert quotient_down_masks(_orbit(g._cols, lambda_S(rank, S))) == expect, S
+        point = {m: k for k, m in enumerate(reps)}
+        orbit = _orbit(g._cols, lambda_S(rank, S))
+        expect = _restricted(down, point)
+        assert quotient_down_masks(orbit) == expect, S
+        upper, lower = _cover_lists(orbit[4], orbit[1])
+        assert lower == [[point[c] for c in cg.lower[m] if c in point]
+                         for m in reps], S
+        n = len(reps)
+        assert _closure(lower, range(n)) == expect, S
+        assert _closure(upper, range(n - 1, -1, -1)) == _restricted(up, point), S
 
 
-def _quotient_length_counts(g, S, roots):
+def _quotient_length_counts(g, S, roots, checked):
     """Length counts of the orbit of lambda_S, checked for the structure of
     W^S: palindromic, with one point of top length N - N_S, and that point
-    w0 lambda_S has no positive coordinate."""
-    weights, _, lengths, _, _ = _orbit(g._cols, lambda_S(g.rank, S))
+    w0 lambda_S has no positive coordinate.  Up to 2,160 points the cover
+    loop's order is also checked against the lifting rule, and S is added
+    to `checked`."""
+    orbit = _orbit(g._cols, lambda_S(g.rank, S))
+    weights, words, lengths, _, lmul = orbit
+    if len(weights) <= 2_160:
+        upper, lower = _cover_lists(lmul, words)
+        assert all(lengths[c] + 1 == lengths[w]
+                   for w, low in enumerate(lower) for c in low), S
+        down = _closure(lower, range(len(weights)))
+        assert down == quotient_down_masks(orbit), S
+        assert down[-1] == (1 << len(weights)) - 1, S
+        assert _closure(upper, range(len(weights) - 1, -1, -1))[0] == down[-1], S
+        checked.append(S)
     n_s = sum(all(c == 0 or i + 1 in S for i, c in enumerate(r)) for r in roots)
     top = len(roots) - n_s
     counts = [lengths.count(k) for k in range(top + 1)]
@@ -317,7 +357,10 @@ def test_orbit_structure_above_the_budget():
     assert not e6.enumerated
     roots = positive_roots(e6.cartan)
     sigma = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}  # the diagram automorphism
-    counts = {S: _quotient_length_counts(e6, S, roots) for S in all_singularities(6)}
+    checked = []
+    counts = {S: _quotient_length_counts(e6, S, roots, checked)
+              for S in all_singularities(6)}
+    assert len(checked) == 27
     for S, c in counts.items():
         sub = sorted(S)
         cols = [tuple(e6._cols[j - 1][i - 1] for i in sub) for j in sub]
@@ -328,5 +371,7 @@ def test_orbit_structure_above_the_budget():
                        (8, range(1, 8), 240), (8, range(2, 9), 2_160)]:
         g = build_group(CartanType("E", n))
         assert not g.enumerated
-        counts = _quotient_length_counts(g, frozenset(S), positive_roots(g.cartan))
+        counts = _quotient_length_counts(g, frozenset(S), positive_roots(g.cartan),
+                                         checked)
         assert sum(counts) == size
+    assert len(checked) == 31
