@@ -21,6 +21,8 @@ from .complexes import (
     cut_equalities,
     dominant_support,
     is_kostant,
+    klv_dominant,
+    klv_polynomial,
     nonkostant_block,
     regular_skeleton,
     s_category_has_bgg,
@@ -38,8 +40,6 @@ from .klpoly import (
     IntPolynomial,
     KLTable,
     kl_table,
-    klv_dominant,
-    klv_polynomial,
     load_table,
     mu_coefficient,
     save_table,

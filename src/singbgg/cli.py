@@ -26,10 +26,11 @@ import sys
 from collections import namedtuple
 
 from .cartan import CartanType
-from .complexes import (assign_signs, is_kostant, nonkostant_block, regular_skeleton,
-                         s_category_has_bgg, singular_skeleton, translate_skeleton)
+from .complexes import (assign_signs, is_kostant, klv_dominant, nonkostant_block,
+                         regular_skeleton, s_category_has_bgg, singular_skeleton,
+                         translate_skeleton)
 from .errors import BudgetError, InputError, SingBggError
-from .klpoly import KLTable, kl_table, klv_dominant, load_table, save_table
+from .klpoly import KLTable, kl_table, load_table, save_table
 from .mobius import mobius_lambda, support_X
 from .parabolic import make_block
 from .weyl import Element, WeylGroup, build_group, check_budget

@@ -10,9 +10,13 @@ must equal the absolute value of the block Möbius number.  A block is
 scanned top-down, witnesses first: each representative first tries the x
 at which a higher one failed.  Results are in index order.
 
-The dominant-side sums are read on the block's own cosets, at (w0 x, w0 w)
-(`klv_dominant`).  Two exact facts about them cut the scan's work
-(`_failing_rep` has the proofs).  A KL column of all ones at z = w0 w is a
+The singular polynomials are the alternating sums of P_{y u, z} over the u
+in the block's parabolic subgroup W_S (`klv_polynomial`), summed by
+`klpoly._coset_sum` over the block's coset map.  The dominant-side one of a
+pair (w, x) of longest representatives is this sum on the block's own
+cosets at (w0 x, w0 w) (`klv_dominant`), which is the paper's sum at
+(x w0, w w0) for w0 S w0.  `_failing_rep` proves that, and two exact facts
+that cut the scan's work.  A KL column of all ones at z = w0 w is a
 certificate: every sum then equals |mu(w, x)|, so w is exact without reading
 one.  By the Carrell-Peterson criterion (Proc. Sympos. Pure Math. 56,
 1994) such a column is one whose Schubert variety is rationally smooth.  And
@@ -30,9 +34,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .bruhat import cover_graph, iter_indices, up_masks
+from .bruhat import cover_graph, iter_indices, leq, up_masks
 from .errors import DomainError
-from .klpoly import KLTable, _coset_sum
+from .klpoly import IntPolynomial, KLTable, _coset_sum, _unpack
 from .mobius import _mobius_row, support_X
 from .parabolic import (
     SingularBlock,
@@ -208,6 +212,37 @@ def assign_signs(sk: ComplexSkeleton) -> ComplexSkeleton:
         base=sk.base, block=sk.block, vertices=list(sk.vertices), edges=signed,
         kind="regular",
     )
+
+
+def klv_polynomial(
+    t: KLTable, b_mu: SingularBlock, y: Element, z: Element
+) -> IntPolynomial:
+    """Alternating sum of P_{y u, z} over u in the parabolic subgroup of b_mu.
+
+    Both arguments must be minimal coset representatives for b_mu.
+    """
+    check_same_group(t.group, b_mu, y, z)
+    for e in (y, z):
+        if not b_mu.contains_min_rep(e):
+            raise DomainError(f"{e!r} is not a minimal coset representative")
+    return IntPolynomial(_unpack(_coset_sum(t, b_mu._coset[y.index], b_mu._signs, z.index)))
+
+
+def klv_dominant(
+    t: KLTable, b: SingularBlock, w: Element, x: Element
+) -> IntPolynomial:
+    """The exactness-test polynomial for the pair (w, x) of longest
+    representatives: b's singular polynomial at (w0 x, w0 w), the paper's
+    at (x w0, w w0) for w0 S w0 (proof at `_failing_rep`)."""
+    check_same_group(t.group, b, w, x)
+    for e in (w, x):
+        if not b.contains_max_rep(e):
+            raise DomainError(f"{e!r} is not a longest coset representative")
+    if not leq(w, x):
+        raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
+    lw0 = b.group.lmul_w0_indices()
+    return IntPolynomial(_unpack(_coset_sum(t, b._coset[lw0[x.index]], b._signs,
+                                            lw0[w.index])))
 
 
 def is_kostant(w: Element, b: SingularBlock, t: KLTable) -> bool:

@@ -1,4 +1,4 @@
-"""Kazhdan-Lusztig polynomials and their singular alternating-sum variants.
+"""The Kazhdan-Lusztig table: its build, its reads and its binary cache.
 
 The full table is computed bottom-up in length order with the standard
 recursion, run only on extremal pairs (du Cloux, "Computing Kazhdan-Lusztig
@@ -14,18 +14,21 @@ descents and ends at an element maximal on both sides, which is m.  Every
 step of a climb stays below w by the lifting property, as w is maximal in
 its own double coset.
 
-Column w runs the recursion on the extremal y <= w alone, the y with every
-s in I as a left and every t in J as a right descent: the y <= w in the AND
-of those descent masks.  F4 has 23,920 extremal pairs among its 396,809
-comparable pairs.  Every read of column w goes through one rule: P_{y,w} is
-the entry at cl[cr[y]], where (cl, cr) = _keys[w] are the climb lists for I
-and J, shared by every w with the same descent set on that side; a right
-climb is a left one conjugated by inversion.  Each left climb is checked
-once, when it is built, never to lower the length (inversion keeps it), so
-the degree bound checked at m holds at every y that reads m.  w's row of
-nonzero mu(z, w), read by the recursion of later columns, starts as its
-lower covers (P = 1, mu = 1); the recursion adds the stored entries of top
-degree.  A non-extremal y has none, as l(m) > l(y).
+Column w's climbs (cl, cr) = _keys[w] are the climb lists for I and J,
+shared by every w with the same descent set on that side; a right climb is
+a left one conjugated by inversion.  (y, w) is an extremal pair when y <= w
+is a fixed point of both, cl[y] = y = cr[y]: then y has every s in I as a
+left and every t in J as a right descent, and is the maximum of its double
+coset.  `_climb_keys` returns the masks of those fixed points with the
+climbs, so the build and the loader read the extremal y <= w from one rule,
+down[w] & lf & rf.  F4 has 23,920 extremal pairs among its 396,809
+comparable pairs.  Column w runs the recursion on them alone, and every read
+of it goes through one rule: P_{y,w} is the entry at cl[cr[y]].  Each left
+climb is checked once, when it is built, never to lower the length
+(inversion keeps it), so the degree bound checked at m holds at every y
+that reads m.  w's row of nonzero mu(z, w), read by the recursion of later
+columns, starts as its lower covers (P = 1, mu = 1); the recursion adds the
+stored entries of top degree.  A non-extremal y has none, as l(m) > l(y).
 
 Inside the table every polynomial is one Python int, its value at
 q = 2**_WIDTH (Kronecker substitution).  This is an exact ring map from Z[q]
@@ -46,20 +49,12 @@ IntPolynomial are built only when a polynomial leaves the module.
 
 The binary cache stores the columns as they are: each column's stored ys
 and their indices into the pool.  load_table validates the whole file,
-every stored y against the Bruhat order and the climbs included, decodes
-every column and rebuilds the climb lists, so a loaded table is the table
-a build gives.
+every stored y against the Bruhat order and the fixed-point masks included,
+decodes every column and rebuilds the climb lists, so a loaded table is the
+table a build gives.
 
-The singular polynomials are alternating sums of ordinary entries over a
-coset of a parabolic subgroup, summed by one kernel, `_coset_sum`, over a
-block's `_coset` tuple paired with its row of signs, `_signs`.  The
-exactness test reads them on the block's own cosets at (w0 x, w0 w),
-where they equal the paper's sums at (x w0, w w0) for the singularity set
-conjugated by w0 (see `klv_dominant`).  It reads the table's keys too: an
-empty column z (P_{y,z} = 1 for all y <= z) decides every sum at z without
-reading one, and since P_{sy,z} = P_{y,z} for s in D_L(z), a coset sum at z
-only depends on the coset's double coset under W_{D_L(z)} on the left,
-whose maximum is the left climb cl of the coset's top.
+`_coset_sum` is the one signed sum over a column, read by the rule above;
+`complexes` sums a block's cosets with it.
 """
 
 from __future__ import annotations
@@ -69,11 +64,10 @@ import os
 import struct
 import zlib
 from itertools import accumulate, compress
-from operator import ge, lt
+from operator import eq, ge, lt
 
-from .bruhat import cover_graph, down_masks, index_mask, iter_indices, leq
-from .errors import DomainError, InputError
-from .parabolic import SingularBlock
+from .bruhat import cover_graph, down_masks, index_mask, iter_indices
+from .errors import InputError
 from .weyl import Element, WeylGroup, check_same_group
 
 Coeffs = tuple[int, ...]
@@ -155,10 +149,11 @@ class IntPolynomial(tuple):
 
 
 def _climb(rows: list[list[int]], gens: int, ident: list[int]) -> list[int]:
-    """climb[y] is the longest element of the coset of y under the generators
-    s with bit s of gens set, on the side rows multiply on (rows[s][y] is
-    s y for _lmul, y s for _rmul).  ident is list(range(|W|)); the climb
-    shares its ints, so it costs one pointer per element.
+    """climb[y] is the longest element of W_gens y, the coset of y under the
+    generators s with bit s of gens set: rows[s][y] is s y.  The package
+    passes only g._lmul; `_climb_keys` conjugates a left climb by inversion
+    for the right one.  ident is list(range(|W|)); the climb shares its ints,
+    so it costs one pointer per element.
 
     Indices grow with length, so one pass from the top index down reaches
     each coset's maximum before the rest of the coset: if some s in gens
@@ -175,22 +170,26 @@ def _climb(rows: list[list[int]], gens: int, ident: list[int]) -> list[int]:
     return climb
 
 
-def _climb_keys(g: WeylGroup) -> list[tuple[list[int], list[int]]]:
-    """keys[w] = (cl, cr), the climbs of y to the longest element of W_I y
-    and of y W_J for I = D_L(w) and J = D_R(w).  A climb list is built once
-    per descent set and side, and shared by every w with that set there;
-    e's key is the identity twice.
+def _climb_keys(g: WeylGroup) -> tuple[list[tuple[list[int], list[int]]],
+                                       list[tuple[int, int]]]:
+    """(keys, fixed) with keys[w] = (cl, cr), the climbs of y to the longest
+    element of W_I y and of y W_J for I = D_L(w) and J = D_R(w), and
+    fixed[w] = (lf, rf), the masks of the y that cl and cr fix: the y with
+    every s in I as a left, and every t in J as a right, descent.  A climb
+    list and its mask are built once per descent set and side, and shared by
+    every w with that set there; e's key is the identity twice.
 
     Only the left climbs are walked.  y W_J is the inverse of W_J y^-1, so
     the right climb for J is cr[y] = inv[cl[inv[y]]] with cl the left one
-    for J, and D_R(w) is D_L(w^-1)."""
+    for J, and D_R(w) is D_L(w^-1); cr fixes y iff cl fixes inv[y]."""
     ident, inv = list(range(g.order)), g._inv
     # desc[w] has bit s set iff s is a left descent of w
     desc = [0] * g.order
     for s, row in enumerate(g._lmul):
         for wi in compress(ident, map(lt, row, ident)):
             desc[wi] |= 1 << s
-    climbs = {0: (ident, ident)}
+    every = (1 << g.order) - 1
+    climbs = {0: (ident, ident, every, every)}
     for mask in sorted(set(desc) - {0}):
         c = _climb(g._lmul, mask, ident)
         # indices grow with length, so the degree bound checked at c[y]
@@ -198,8 +197,12 @@ def _climb_keys(g: WeylGroup) -> list[tuple[list[int], list[int]]]:
         # right climb climbs too
         if any(map(lt, c, ident)):
             raise AssertionError("a climb went down in length")
-        climbs[mask] = c, [*map(inv.__getitem__, map(c.__getitem__, inv))]
-    return [(climbs[desc[wi]][0], climbs[desc[inv[wi]]][1]) for wi in ident]
+        fix = [*compress(ident, map(eq, c, ident))]
+        climbs[mask] = (c, [*map(inv.__getitem__, map(c.__getitem__, inv))],
+                        index_mask(fix), index_mask(map(inv.__getitem__, fix)))
+    sides = [(climbs[desc[wi]], climbs[desc[vi]]) for wi, vi in zip(ident, inv)]
+    return ([(left[0], right[1]) for left, right in sides],
+            [(left[2], right[3]) for left, right in sides])
 
 
 class KLTable:
@@ -209,12 +212,11 @@ class KLTable:
     read as 0, a comparable pair as _cols[w].get(cl[cr[y]], 1) with
     (cl, cr) = _keys[w] from _climb_keys.  _cols[w] maps each stored y, a
     double-coset maximum, to P_{y,w} packed at q = 2**_WIDTH, in increasing
-    y.  _stored, which len() returns, counts the stored entries.  _pool maps
-    each distinct stored value to its coefficient tuple, and _cmax is the
-    largest coefficient in absolute value (at least 1).  A signed sum reads
-    at most one entry per element of W, so _cmax * |W| bounds its
-    coefficients; the table checks that bound once, and the sums do not
-    check it again.
+    y; len() counts the stored entries.  _pool maps each distinct stored
+    value to its coefficient tuple, and _cmax is the largest coefficient in
+    absolute value (at least 1).  A signed sum reads at most one entry per
+    element of W, so _cmax * |W| bounds its coefficients; the table checks
+    that bound once, and the sums do not check it again.
     """
 
     def __init__(self, group: WeylGroup, _entries: tuple | None = None):
@@ -223,25 +225,21 @@ class KLTable:
         self._down = down_masks(group)
         if _entries is None:
             _entries = self._build()
-        self._cols, self._keys, self._stored, self._pool, self._cmax = _entries
+        self._cols, self._keys, self._pool, self._cmax = _entries
         _check_width(self._cmax * group.order)
 
     def _build(self) -> tuple[list[dict[int, int]], list[tuple[list[int], list[int]]],
-                              int, dict[int, Coeffs], int]:
+                              dict[int, Coeffs], int]:
         g = self.group
         width = _WIDTH
         down = self._down
         lengths = g._lengths
         words = g._words
-        lmul, rmul = g._lmul, g._rmul
+        lmul = g._lmul
         n = g.order
-        gens = range(g.rank)
-        # masks of the y with s y < y (y s < y)
-        left_desc = [index_mask(y for y in range(n) if row[y] < y) for row in lmul]
-        right_desc = [index_mask(y for y in range(n) if row[y] < y) for row in rmul]
         cols: list[dict[int, int]] = [{} for _ in range(n)]
         # column w is read at cl[cr[y]] for (cl, cr) = keys[w]
-        keys = _climb_keys(g)
+        keys, fixed = _climb_keys(g)
         # mu_rows[w]: the (z, mu(z, w)) with mu != 0, the covers first
         mu_rows = [[(zi, 1) for zi in low] for low in cover_graph(g).lower]
         # distinct stored value -> (the shared int, degree, leading coefficient)
@@ -266,16 +264,10 @@ class KLTable:
                                 mu << width * ((lw - lengths[zi]) // 2)))
                     mu_sum += mu
             _check_width((2 + mu_sum) * cmax)
-            # the extremal y <= w: D_L(w) in D_L(y) and D_R(w) in D_R(y)
-            ext = down[wi]
-            for t in gens:
-                if lmul[t][wi] < wi:
-                    ext &= left_desc[t]
-                if rmul[t][wi] < wi:
-                    ext &= right_desc[t]
+            lf, rf = fixed[wi]
             col = cols[wi]
             row_mu = mu_rows[wi]
-            for yi in iter_indices(ext):
+            for yi in iter_indices(down[wi] & lf & rf):  # the extremal y <= w
                 p = col_v.get(clv[crv[sl[yi]]], 1)  # s y <= v by the lifting property
                 if down_v >> yi & 1:
                     p += col_v.get(clv[crv[yi]], 1) << width
@@ -299,13 +291,11 @@ class KLTable:
                 col[yi] = p
                 if 2 * deg == d - 1:
                     row_mu.append((yi, lead))
-        return cols, keys, sum(map(len, cols)), pool, cmax
+        return cols, keys, pool, cmax
 
     # -- reads -----------------------------------------------------------------
 
     def polynomial_by_index(self, yi: int, wi: int) -> Coeffs:
-        if yi == wi:
-            return _ONE
         if not (self._down[wi] >> yi & 1):
             return ()
         cl, cr = self._keys[wi]
@@ -318,7 +308,7 @@ class KLTable:
         return IntPolynomial(self.polynomial_by_index(y.index, w.index))
 
     def __len__(self) -> int:
-        return self._stored
+        return sum(map(len, self._cols))
 
 
 def kl_table(g: WeylGroup) -> KLTable:
@@ -334,42 +324,6 @@ def mu_coefficient(t: KLTable, y: Element, w: Element) -> int:
     p = t.polynomial_by_index(y.index, w.index)
     k = (d - 1) // 2
     return p[k] if len(p) > k else 0
-
-
-def klv_polynomial(
-    t: KLTable, b_mu: SingularBlock, y: Element, z: Element
-) -> IntPolynomial:
-    """Alternating sum of P_{y u, z} over u in the parabolic subgroup of b_mu.
-
-    Both arguments must be minimal coset representatives for b_mu.
-    """
-    check_same_group(t.group, b_mu, y, z)
-    for e in (y, z):
-        if not b_mu.contains_min_rep(e):
-            raise DomainError(f"{e!r} is not a minimal coset representative")
-    return IntPolynomial(_unpack(_coset_sum(t, b_mu._coset[y.index], b_mu._signs, z.index)))
-
-
-def klv_dominant(
-    t: KLTable, b: SingularBlock, w: Element, x: Element
-) -> IntPolynomial:
-    """The exactness-test polynomial for the pair (w, x) of longest
-    representatives: b's singular polynomial at (w0 x, w0 w).
-
-    The paper reads it at (x w0, w w0) for sigma(S) = w0 S w0.  Conjugation
-    by w0 is an automorphism of (W, S) that keeps lengths, the Bruhat order
-    and every P_{y,v} (Kazhdan and Lusztig, Invent. Math. 53, 1979), and it
-    maps w w0 onto w0 w and x w0 u onto (w0 x)(w0 u w0) with w0 u w0 in
-    W_S, so the two sums agree term by term."""
-    check_same_group(t.group, b, w, x)
-    for e in (w, x):
-        if not b.contains_max_rep(e):
-            raise DomainError(f"{e!r} is not a longest coset representative")
-    if not leq(w, x):
-        raise DomainError(f"requires w <= x; got w={w!r}, x={x!r}")
-    lw0 = b.group.lmul_w0_indices()
-    return IntPolynomial(_unpack(_coset_sum(t, b._coset[lw0[x.index]], b._signs,
-                                            lw0[w.index])))
 
 
 def _coset_sum(t: KLTable, ys, signs, zi: int) -> int:
@@ -527,23 +481,23 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
     values = [_pack(p) for p in pool]
     if len(set(values)) != n_polys:
         raise InputError(f"{path}: corrupt cache file (pool polynomial repeated)")
-    keys = _climb_keys(g)
+    keys, fixed = _climb_keys(g)
     cols = []
-    for wi, down, (cl, cr), b, e in zip(range(n), down_masks(g), keys, bounds, bounds[1:]):
+    for wi, down, (lf, rf), b, e in zip(range(n), down_masks(g), fixed, bounds, bounds[1:]):
         col_ys = ys[b:e]
         if col_ys:
             if any(map(ge, col_ys, col_ys[1:])):
                 raise InputError(f"{path}: corrupt cache file (stored ys not in increasing order)")
-            # a y below w has a smaller index; that bounds the shifts and lookups,
-            # and distinct shifts sum to their union
-            if col_ys[-1] >= wi or sum(map((1).__lshift__, col_ys)) & ~down:
+            # a y below w has a smaller index; that bounds the shifts, and
+            # distinct shifts sum to their union
+            if col_ys[-1] >= wi or (stored := sum(map((1).__lshift__, col_ys))) & ~down:
                 raise InputError(f"{path}: corrupt cache file (stored y not below its w)")
-            if tuple(map(cl.__getitem__, map(cr.__getitem__, col_ys))) != col_ys:
+            if stored & ~(lf & rf):
                 raise InputError(
                     f"{path}: corrupt cache file (stored y not a double-coset maximum)")
         cols.append(dict(zip(col_ys, map(values.__getitem__, ks[b:e]))))
     cmax = max((abs(c) for p in pool for c in p), default=1)
     try:
-        return KLTable(g, _entries=(cols, keys, n_entries, dict(zip(values, pool)), cmax))
+        return KLTable(g, _entries=(cols, keys, dict(zip(values, pool)), cmax))
     except AssertionError:  # the table's width check
         raise InputError(f"{path}: corrupt cache file (coefficient out of range)") from None

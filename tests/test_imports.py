@@ -74,6 +74,27 @@ def test_no_hand_written_immutability():
     assert guards == set()
 
 
+def test_klpoly_holds_the_table_alone():
+    # The block sums and their w0 reads sit in complexes.py: klpoly.py
+    # imports nothing from parabolic.py, and among the modules only weyl.py,
+    # which defines it, and complexes.py name lmul_w0_indices.
+    imports = set()
+    for node in ast.walk(ast.parse((SRC / "klpoly.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imports |= {node.module, *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            imports |= {alias.name for alias in node.names}
+    assert {"parabolic", "singbgg.parabolic"} & imports == set()
+    # an attribute, a name, a definition or an import
+    namers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "lmul_w0_indices" in {getattr(node, k, None) for k in ("attr", "id", "name")}
+    }
+    assert namers == {"weyl.py", "complexes.py"}
+
+
 def test_fractions_only_for_weight_input():
     # Root data are integers; only user weight coordinates are rationals.
     users = {path.name for path in SRC.glob("*.py")

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import properties
 from helpers import decoded_polys, double_coset_maxima, get_group, get_table, tuple_kl_polys
 from singbgg import (
+    CartanType,
     IntPolynomial,
+    WeylGroup,
     interval,
     is_kostant,
     kl_table,
@@ -33,7 +35,7 @@ from singbgg import (
     save_table,
 )
 from singbgg import klpoly
-from singbgg.bruhat import down_masks, iter_indices
+from singbgg.bruhat import down_masks, index_mask, iter_indices
 from singbgg.errors import DomainError, InputError
 
 ONE = IntPolynomial((1,))
@@ -185,6 +187,59 @@ def test_extremal_recursion_work_count(monkeypatch):
         single += sum(left[yi] >> s & 1 for yi in ys)
     assert runs == extremal == 23_919
     assert single == 198_404
+
+
+@pytest.mark.parametrize("fam,rank,budget", [
+    ("G", 2, None), ("A", 4, None), ("B", 4, None), ("D", 4, None), ("F", 4, None),
+    ("A", 5, None), ("D", 5, 1920)])
+def test_extremal_masks_are_the_descent_rule(fam, rank, budget):
+    # the extremal y <= w, read off the climbs' fixed points as
+    # down[w] & lf & rf, are the y <= w with every s in D_L(w) as a left and
+    # every t in D_R(w) as a right descent, here ANDed descent by descent
+    g = get_group(fam, rank, budget)
+    _, fixed = klpoly._climb_keys(g)
+    lmul, rmul = g._lmul, g._rmul
+    n = g.order
+    gens = range(g.rank)
+    # masks of the y with s y < y (y s < y)
+    left_desc = [index_mask(y for y in range(n) if row[y] < y) for row in lmul]
+    right_desc = [index_mask(y for y in range(n) if row[y] < y) for row in rmul]
+    for wi, (down, (lf, rf)) in enumerate(zip(down_masks(g), fixed)):
+        ext = down
+        for t in gens:
+            if lmul[t][wi] < wi:
+                ext &= left_desc[t]
+            if rmul[t][wi] < wi:
+                ext &= right_desc[t]
+        assert down & lf & rf == ext, wi
+
+
+class _LeftOnly(WeylGroup):
+    """A group whose right multiplication table cannot be read."""
+
+    @property
+    def _rmul(self):
+        raise AssertionError("read g._rmul")
+
+    @_rmul.setter
+    def _rmul(self, rows):
+        pass
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 4), ("F", 4)])
+def test_kl_layer_reads_no_right_multiplication(tmp_path, fam, rank):
+    # the climbs and their fixed points come from left multiplication and
+    # inversion alone, so a build and a load need no right multiplication
+    t = get_table(fam, rank)
+    path = tmp_path / "t.klv"
+    save_table(t, path)
+    for make in (kl_table, lambda g: load_table(g, path)):
+        g = _LeftOnly(CartanType(fam, rank))
+        with pytest.raises(AssertionError, match="read g._rmul"):
+            g._rmul
+        t2 = make(g)
+        assert (t2._cols, t2._keys, t2._pool, t2._cmax, len(t2)) == (
+            t._cols, t._keys, t._pool, t._cmax, len(t))
 
 
 @pytest.mark.parametrize("fam,rank", [("B", 4), ("F", 4)])
