@@ -110,15 +110,28 @@ def interval(u: Element, v: Element) -> list[Element]:
     return [g.element_by_index(i) for i in iter_indices(mask)]
 
 
-def index_mask(indices) -> int:
-    """The bitmask with the given index bits set; inverse of iter_indices."""
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def index_mask(indices) -> int:
+    """The bitmask with the given index bits set; inverse of iter_indices.
+
+    On iter_indices' line, a set with at least one index in 32 up to its
+    largest is written in one pass, as binary digits read from a bytearray
+    of 0/1 flags, and a sparser one bit by bit.
+    """
+    indices = [*indices]
+    top = max(indices, default=0)
+    if len(indices) << 5 <= top:
+        m = 0
+        for i in indices:
+            m |= 1 << i
+        return m
+    flags = bytearray(top + 1)
+    for i in indices:
+        flags[i] = 1
+    return int(flags[::-1].translate(_DIGITS), 2)
 
 
 def iter_indices(mask: int):

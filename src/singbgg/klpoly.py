@@ -22,13 +22,31 @@ left and every t in J as a right descent, and is the maximum of its double
 coset.  `_climb_keys` returns the masks of those fixed points with the
 climbs, so the build and the loader read the extremal y <= w from one rule,
 down[w] & lf & rf.  F4 has 23,920 extremal pairs among its 396,809
-comparable pairs.  Column w runs the recursion on them alone, and every read
+comparable pairs.  A column's recursion runs on them alone, and every read
 of it goes through one rule: P_{y,w} is the entry at cl[cr[y]].  Each left
 climb is checked once, when it is built, never to lower the length
 (inversion keeps it), so the degree bound checked at m holds at every y
 that reads m.  w's row of nonzero mu(z, w), read by the recursion of later
 columns, starts as its lower covers (P = 1, mu = 1); the recursion adds the
 stored entries of top degree.  A non-extremal y has none, as l(m) > l(y).
+
+The recursion runs on column w only when w is the smallest index in its
+orbit under the group generated by inversion and the automorphisms of the
+Coxeter graph (`WeylGroup._symmetries`).  Each of them keeps every
+polynomial: P_{y,w} = P_{y^-1,w^-1}, and an automorphism of (W, S) keeps
+P_{y,w} (Kazhdan and Lusztig, "Representations of Coxeter groups and Hecke
+algebras", Invent. Math. 53, 1979).  Once column r is built, each other
+member w = phi(r) of its orbit gets r's column read through phi,
+{phi(y): P_{y,r}} in increasing phi(y), and r's mu row as (phi(z), mu).
+The copy keeps what the build and the reads rely on: a column stores its
+extremal ys only, and a mu row holds every nonzero mu(z, w).  phi keeps
+lengths and the Bruhat order, and takes the pair (D_L(r), D_R(r)) to
+(D_L(w), D_R(w)): an automorphism moves each set by its permutation, and
+inversion swaps the two.  So phi maps the double-coset maxima below r onto
+those below w.  The constant-term and degree checks run on every recursed
+entry, and the width guard on every recursed column; a copied entry has
+its source's value and length gap.  F4 recurses on 7,477 of its 23,919
+extremal pairs with w > e, in 344 of its 1,151 columns w > e.
 
 Inside the table every polynomial is one Python int, its value at
 q = 2**_WIDTH (Kronecker substitution).  This is an exact ring map from Z[q]
@@ -230,6 +248,11 @@ class KLTable:
 
     def _build(self) -> tuple[list[dict[int, int]], list[tuple[list[int], list[int]]],
                               dict[int, Coeffs], int]:
+        """Columns in index order: the recursion on the smallest index of
+        each orbit of g._symmetries(), and a copy through phi for the rest
+        of the orbit (module docstring).  A column reads only smaller ones,
+        and all of a smaller one's orbit is filled when its smallest index
+        is built."""
         g = self.group
         width = _WIDTH
         down = self._down
@@ -240,14 +263,20 @@ class KLTable:
         cols: list[dict[int, int]] = [{} for _ in range(n)]
         # column w is read at cl[cr[y]] for (cl, cr) = keys[w]
         keys, fixed = _climb_keys(g)
-        # mu_rows[w]: the (z, mu(z, w)) with mu != 0, the covers first
-        mu_rows = [[(zi, 1) for zi in low] for low in cover_graph(g).lower]
+        # mu_rows[w]: the (z, mu(z, w)) with mu != 0, the covers first; each
+        # row but e's empty one is set when its column is built or copied
+        lower = cover_graph(g).lower
+        mu_rows: list[list[tuple[int, int]]] = [[]] * n
         # distinct stored value -> (the shared int, degree, leading coefficient)
         seen: dict[int, tuple[int, int, int]] = {}
         pool: dict[int, Coeffs] = {}
         cmax = 1
+        symmetries = g._symmetries()
+        copied = bytearray(n)
 
         for wi in range(1, n):
+            if copied[wi]:
+                continue
             lw = lengths[wi]
             s = words[wi][0] - 1  # smallest left descent of w
             sl = lmul[s]
@@ -266,7 +295,7 @@ class KLTable:
             _check_width((2 + mu_sum) * cmax)
             lf, rf = fixed[wi]
             col = cols[wi]
-            row_mu = mu_rows[wi]
+            row_mu = mu_rows[wi] = [(zi, 1) for zi in lower[wi]]
             for yi in iter_indices(down[wi] & lf & rf):  # the extremal y <= w
                 p = col_v.get(clv[crv[sl[yi]]], 1)  # s y <= v by the lifting property
                 if down_v >> yi & 1:
@@ -291,6 +320,13 @@ class KLTable:
                 col[yi] = p
                 if 2 * deg == d - 1:
                     row_mu.append((yi, lead))
+            # w is the smallest index of its orbit: fill the rest of it
+            for phi in symmetries:
+                ui = phi[wi]
+                if ui != wi and not copied[ui]:
+                    copied[ui] = 1
+                    cols[ui] = dict(sorted(zip(map(phi.__getitem__, col), col.values())))
+                    mu_rows[ui] = [(phi[zi], mu) for zi, mu in row_mu]
         return cols, keys, pool, cmax
 
     # -- reads -----------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 from functools import total_ordering
+from itertools import permutations
 
 from .cartan import CartanType
 from .errors import BudgetError, InputError
@@ -70,6 +71,18 @@ def _orbit(cols: list[Weight], lam: Weight):
                     row[i], row[j] = j, i
         start, end = end, len(weights)
     return weights, words, lengths, index, lmul
+
+
+def _graph_automorphisms(a: list[list[int]]) -> list[tuple[int, ...]]:
+    """The automorphisms of the Coxeter graph of the Cartan matrix a, the
+    identity first: the permutations pi of the simple reflections with
+    a[pi i][pi j] * a[pi j][pi i] == a[i][j] * a[j][i].  That product, 0, 1,
+    2 or 3, fixes the order of s_i s_j, so pi extends to an automorphism of
+    (W, S); it may swap long and short roots (B2, G2, F4)."""
+    n = len(a)
+    m = [[a[i][j] * a[j][i] for j in range(n)] for i in range(n)]
+    return [p for p in permutations(range(n))
+            if all(m[p[i]][p[j]] == m[i][j] for i in range(n) for j in range(i))]
 
 
 def _element_budget() -> int:
@@ -234,6 +247,26 @@ class WeylGroup:
             index, inv, weights = self._index, self._inv, self._weights
             self._lw0 = [inv[index[tuple(-m for m in weights[k])]] for k in inv]
         return self._lw0
+
+    def _symmetries(self) -> list[list[int]]:
+        """Index maps of the group generated by inversion and the
+        Coxeter-graph automorphisms, the identity left out.  Each pi of
+        `_graph_automorphisms` becomes the map phi with
+        phi(lmul[s][w]) = lmul[pi s][phi w], filled in index order along each
+        element's first letter, and each phi also comes composed with
+        inversion, which commutes with it; so the maps with the identity
+        are closed under composition."""
+        self.require_enumerated()
+        inv, words, lmul = self._inv, self._words, self._lmul
+        ident = list(range(self.order))
+        maps = []
+        for pi in _graph_automorphisms(self.cartan.cartan_matrix()):
+            phi = [0]
+            for w in ident[1:]:
+                s = words[w][0] - 1
+                phi.append(lmul[pi[s]][phi[lmul[s][w]]])
+            maps += (phi, [*map(phi.__getitem__, inv)])
+        return [phi for phi in maps if phi != ident]
 
 
 @total_ordering

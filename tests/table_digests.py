@@ -17,8 +17,10 @@ The second form prints the block data alone as JSON.
 ``tests/data/rank5_blocks.json`` was written by it, and the acceptance test
 that reads that file recomputes the blocks through ``block_digests`` below.
 
-The script raises the element budget to 10,000; A6 (5,040 elements) takes
-about 10 s and 150 MB.  The file is not collected by pytest.
+The script raises the element budget to 10,000, or to ``BGG_ELEMENT_BUDGET``
+where that is higher; A6 (5,040 elements) takes about 10 s and 150 MB, and
+D6 (23,040 elements, with ``BGG_ELEMENT_BUDGET=23040``) takes minutes and
+a few hundred MB.  The file is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import sys
 from helpers import all_singularities
 from singbgg import CartanType, build_group, kl_table, make_block, nonkostant_block
 from singbgg.bruhat import down_masks, iter_indices
+from singbgg.weyl import _element_budget
 
 
 def word(e) -> str:
@@ -70,9 +73,10 @@ def main(argv: list[str]) -> int:
     if not names:
         print(__doc__, file=sys.stderr)
         return 2
+    budget = max(10_000, _element_budget())
     out = {}
     for name in names:
-        g = build_group(CartanType(name[0], int(name[1:])), budget=10_000)
+        g = build_group(CartanType(name[0], int(name[1:])), budget=budget)
         t = kl_table(g)
         blocks = block_digests(g, classify(g, t))
         if as_json:

@@ -23,7 +23,7 @@ from singbgg import (
     lower_covers,
     upper_covers,
 )
-from singbgg.bruhat import cover_graph, iter_indices
+from singbgg.bruhat import cover_graph, index_mask, iter_indices
 from singbgg.errors import BudgetError, DomainError
 
 
@@ -136,3 +136,6 @@ def test_iter_indices_dense_and_sparse():
         assert type(iter_indices(m)) is not compress
     for m in masks + dense + sparse:
         assert list(iter_indices(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+        # index_mask draws the same line, and takes the indices in any order
+        assert index_mask(iter_indices(m)) == m
+        assert index_mask(reversed([*iter_indices(m)])) == m

@@ -90,14 +90,29 @@ def test_determinism():
     assert kl_table(g)._cols == kl_table(g)._cols
 
 
-@pytest.mark.parametrize("fam,rank", [("G", 2), ("A", 4), ("B", 4), ("D", 4), ("F", 4)])
-def test_packed_table_equals_tuple_recursion(fam, rank):
-    t = get_table(fam, rank)
-    expect = tuple_kl_polys(get_group(fam, rank))
+@pytest.mark.parametrize("fam,rank,budget", [
+    pytest.param(fam, rank, budget, id=f"{fam}-{rank}") for fam, rank, budget in [
+        ("G", 2, None), ("A", 4, None), ("B", 4, None), ("D", 4, None), ("F", 4, None),
+        ("A", 5, None), ("D", 5, 1920)]])
+def test_packed_table_equals_tuple_recursion(fam, rank, budget):
+    # the oracle runs the recursion on every column; the table copies most
+    # columns from their orbit's smallest member
+    t = get_table(fam, rank, budget)
+    expect = tuple_kl_polys(get_group(fam, rank, budget))
     assert decoded_polys(t) == expect
     assert t._pool == {p: klpoly._unpack(p) for p in t._pool}
     assert len(t._pool) == len(set(expect.values()))
     assert t._cmax == max((abs(c) for p in expect.values() for c in p), default=1)
+
+
+@pytest.mark.parametrize("fam,rank", [("F", 4), ("D", 4)])
+def test_oracle_keeps_the_symmetries(fam, rank):
+    # P_{y,w} = P_{phi y, phi w} for inversion and the graph automorphisms,
+    # checked on the symmetry-free oracle, which copies no column
+    g = get_group(fam, rank)
+    expect = tuple_kl_polys(g)
+    for phi in g._symmetries():
+        assert {(phi[y], phi[w]): p for (y, w), p in expect.items()} == expect
 
 
 def test_distinct_counts():
@@ -133,10 +148,13 @@ def test_climbs_reach_the_coset_maximum(fam, rank):
 def test_extremal_recursion_work_count(monkeypatch):
     # _build runs the recursion only on the y <= w with y = cl[cr[y]], the
     # maximum of W_I y W_J for I = D_L(w) and J = D_R(w), and stores nothing
-    # at the other y.  F4: 23,919 recursion entries for w > e, 23,920
-    # extremal pairs with (e, e), against 198,404 when every y with s y < y
-    # for one left descent s of w went through the recursion.  The runs are
-    # counted at the recursion's first line.
+    # at the other y.  F4: 23,919 extremal pairs with w > e, 23,920 with
+    # (e, e), against 198,404 when every y with s y < y for one left
+    # descent s of w went through the recursion.  The recursion runs only
+    # on the columns w that are the smallest index of their orbit under
+    # inversion and the graph automorphism: 7,477 of those entries, in 344
+    # of the 1,151 columns w > e.  The runs are counted at the recursion's
+    # first line.
     g = get_group("F", 4)
     build = klpoly.KLTable._build
     lines, first = inspect.getsourcelines(build)
@@ -176,17 +194,22 @@ def test_extremal_recursion_work_count(monkeypatch):
     ident = list(range(g.order))
     direct = {J: climb(g._rmul, J, ident) for J in set(right)}
     assert all(t._keys[wi] == (climbs[left[wi]], direct[right[wi]]) for wi in ws)
-    extremal = single = 0
+    symmetries = g._symmetries()
+    reps = {wi for wi in ws if all(phi[wi] >= wi for phi in symmetries)}
+    extremal = single = in_reps = 0
     for wi in ws:
         cl, cr = t._keys[wi]
         ys = list(iter_indices(down[wi]))
         ext = {yi for yi in ys if cl[cr[yi]] == yi}
         assert ext == {yi for yi in ys if left[wi] & ~left[yi] == 0 and right[wi] & ~right[yi] == 0}
         extremal += len(ext)
+        in_reps += len(ext) if wi in reps else 0
         s = g._words[wi][0] - 1
         single += sum(left[yi] >> s & 1 for yi in ys)
-    assert runs == extremal == 23_919
+    assert extremal == 23_919
     assert single == 198_404
+    assert len(reps) == 344
+    assert runs == in_reps == 7_477
 
 
 @pytest.mark.parametrize("fam,rank,budget", [
@@ -339,6 +362,10 @@ def test_sum_width_guard_on_loaded_table(tmp_path, monkeypatch):
 def test_dynkin_symmetry():
     # Conjugation by w0 keeps every P_{y,w}; the exactness scan rests on it
     # where w0 is not central (A_n, odd D_n), reading sigma(S)'s sums on S.
+    # Conjugation by w0 is a graph automorphism, so where it moves w the
+    # build copied one of the two columns from the other: those pairs only
+    # re-read the copy rule, which test_oracle_keeps_the_symmetries and
+    # test_packed_table_equals_tuple_recursion check against the oracle.
     # Each entry: comparable pairs, and elements that conjugation moves.
     for fam, rank, budget, counts in [
         ("A", 3, None, (213, 16)), ("B", 3, None, (847, 0)), ("A", 4, None, (3781, 112)),
@@ -547,6 +574,9 @@ def test_cache_from_klv2_writer_rejected(tmp_path):
 
 
 def test_f4_inverse_symmetry():
+    # w and w^-1 share an orbit, whose columns the build copies from its
+    # smallest member, so this partly re-reads copied columns against their
+    # source; the oracle tests check the values
     g = get_group("F", 4)
     t = get_table("F", 4)
     inv = g._inv

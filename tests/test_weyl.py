@@ -6,7 +6,9 @@ import pytest
 
 from helpers import _compose, _invert, get_group, index_perms, root_model, shortlex_tables
 from singbgg import CartanType, build_group, make_block, positive_roots
+from singbgg.bruhat import down_masks, iter_indices
 from singbgg.errors import BudgetError, ConfigurationError, InputError
+from singbgg.weyl import _graph_automorphisms
 
 
 def test_group_orders():
@@ -230,6 +232,48 @@ def test_mul_tables_consistent():
         for s in range(g.rank):
             assert g._rmul[s][i] == (w * g.generator(s + 1)).index
             assert g._lmul[s][i] == (g.generator(s + 1) * w).index
+
+
+@pytest.mark.parametrize("fam,rank,count", [
+    ("A", 1, 1), ("A", 2, 2), ("A", 3, 2), ("A", 5, 2), ("A", 8, 2),
+    ("B", 2, 2), ("C", 2, 2), ("G", 2, 2), ("F", 4, 2), ("E", 6, 2),
+    ("D", 4, 6), ("D", 5, 2), ("D", 6, 2), ("D", 7, 2),
+    ("B", 3, 1), ("B", 6, 1), ("C", 3, 1), ("C", 7, 1), ("E", 7, 1), ("E", 8, 1),
+])
+def test_graph_automorphism_counts(fam, rank, count):
+    # from the Cartan matrix alone: no group is enumerated
+    perms = _graph_automorphisms(CartanType(fam, rank).cartan_matrix())
+    assert len(perms) == count
+    assert perms[0] == tuple(range(rank))
+
+
+@pytest.mark.parametrize("fam,rank,budget", [
+    ("A", 1, None), ("A", 2, None), ("A", 3, None), ("A", 4, None),
+    ("B", 2, None), ("B", 3, None), ("B", 4, None), ("C", 2, None), ("C", 3, None),
+    ("C", 4, None), ("D", 3, None), ("D", 4, None), ("F", 4, None), ("G", 2, None),
+    ("A", 5, None), ("D", 5, 1920),
+])
+def test_symmetries_keep_length_and_order(fam, rank, budget):
+    # each map is a bijection keeping lengths and the Bruhat order, and is
+    # a graph automorphism's map phi(s w) = pi(s) phi(w), or one composed
+    # with inversion; with the identity they form a group of 2 |Aut| maps
+    g = get_group(fam, rank, budget)
+    n, lmul, inv, lengths = g.order, g._lmul, g._inv, g._lengths
+    ident = list(range(n))
+    perms = _graph_automorphisms(g.cartan.cartan_matrix())
+    maps = g._symmetries()
+    assert len(maps) == (0 if n == 2 else 2 * len(perms) - 1)
+    group = {tuple(ident), *map(tuple, maps)}
+    assert len(group) == len(maps) + 1
+    assert all(tuple(map(a.__getitem__, b)) in group for a in group for b in group)
+    down = down_masks(g)
+    for phi in maps:
+        assert sorted(phi) == ident
+        assert [lengths[k] for k in phi] == lengths
+        for w, m in enumerate(down):
+            assert sum(1 << phi[y] for y in iter_indices(m)) == down[phi[w]]
+        assert any(all(psi[lmul[s][w]] == lmul[pi[s]][psi[w]] for s in range(rank) for w in ident)
+                   for pi in perms for psi in (phi, [phi[k] for k in inv]))
 
 
 def test_mixed_groups_rejected():
