@@ -15,13 +15,17 @@ in the block's parabolic subgroup W_S (`klv_polynomial`), summed by
 `klpoly._coset_sum` over the block's coset map.  The dominant-side one of a
 pair (w, x) of longest representatives is this sum on the block's own
 cosets at (w0 x, w0 w) (`klv_dominant`), which is the paper's sum at
-(x w0, w w0) for w0 S w0.  `_failing_rep` proves that, and two exact facts
-that cut the scan's work.  A KL column of all ones at z = w0 w is a
-certificate: every sum then equals |mu(w, x)|, so w is exact without reading
-one.  By the Carrell-Peterson criterion (Proc. Sympos. Pure Math. 56,
-1994) such a column is one whose Schubert variety is rationally smooth.  And
-a sum only depends on the double coset W_{D_L(z)} (w0 x) W_S, so it is
-computed once per double coset, keyed by the table's left climb.
+(x w0, w w0) for w0 S w0.  `_failing_rep` proves that, and three exact
+facts that cut the scan's work.  The part of the sum with every P_{y,z}
+read as 1 is |mu(w, x)|, as Bruhat intervals are Eulerian; so x fails iff
+the correction sum of +-(P_{y,z} - 1) is not 0, which reads no Möbius value
+and only the stored entries of column z = w0 w.  A column of all ones is
+then a certificate: w is exact without reading a sum.  By the
+Carrell-Peterson criterion (Proc. Sympos. Pure Math. 56, 1994) such a column
+is one whose Schubert variety is rationally smooth.  And a sum only depends
+on the double coset W_{D_L(z)} (w0 x) W_S, so past the witnesses the scan
+visits one x per double coset: the maxima of the W_K x W_S, K the complement
+of D_L(w), picked by the table's fixed-point mask `_lf`.
 
 Every stage is built on element indices: the up mask of w, the cover graph,
 the block's coset map and the index matchings of `parabolic`.  Index order is
@@ -33,10 +37,11 @@ Skeletons and their edges are immutable named tuples, compared by value.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .bruhat import cover_graph, iter_indices, leq, up_masks
 from .errors import DomainError
-from .klpoly import IntPolynomial, KLTable, _coset_sum, _unpack
+from .klpoly import IntPolynomial, KLTable, _correction_sum, _coset_sum, _unpack
 from .mobius import _mobius_row, support_X
 from .parabolic import (
     SingularBlock,
@@ -252,12 +257,13 @@ def is_kostant(w: Element, b: SingularBlock, t: KLTable) -> bool:
     check_same_group(b.group, w, t)
     if not b.contains_max_rep(w):
         raise DomainError(f"{w!r} is not a longest coset representative")
-    return _failing_rep(w.index, b, t, 0) < 0
+    return _failing_rep(w.index, b, t, 0, b.group.lmul_w0_indices()) < 0
 
 
-def _failing_rep(wi: int, b: SingularBlock, t: KLTable, first: int) -> int:
+def _failing_rep(wi: int, b: SingularBlock, t: KLTable, first: int, lw0: list[int]) -> int:
     """Index of a longest representative x >= w_wi whose dominant-side sum
-    is not |mu(w, x)|, or -1; the x in mask `first` are tried first.
+    is not |mu(w, x)|, or -1; the x in mask `first` are tried first, then
+    one x per double coset.  lw0 is b.group.lmul_w0_indices().
 
     The paper's sum is the coset sum for sigma(S) = w0 S w0 at (x w0, w w0).
     Conjugation by w0 is an automorphism of (W, S), so it keeps lengths, the
@@ -267,54 +273,69 @@ def _failing_rep(wi: int, b: SingularBlock, t: KLTable, first: int) -> int:
     representative, the sum is that of (-1)^l(u) P_{x'u, z} over the u in
     W_J with x'u <= z.
 
-    Certificate.  If column z is empty, P_{y,z} = 1 for every y <= z and w
-    is exact.  The u with x'u <= z form the interval [e, u_max] of W_J,
-    x'u_max being the unique maximum of [e, z] in x'W_J (`coset_extremum`),
-    and Bruhat intervals are Eulerian, so the sum is 1 if u_max = e and 0
+    Correction sum.  Split each term as P_{x'u,z} = 1 + (P_{x'u,z} - 1).
+    The u with x'u <= z form the interval [e, u_max] of W_J, x'u_max being
+    the unique maximum of [e, z] in x'W_J (`coset_extremum`), and Bruhat
+    intervals are Eulerian, so the part of the ones is 1 if u_max = e and 0
     otherwise.  u_max = e iff x's <= z for no s in J, iff [x', z] lies in
     W^J by the lifting property (Björner and Brenti, "Combinatorics of
     Coxeter Groups", GTM 231: Prop. 2.2.7 and section 2.7).  Left
     multiplication by w0 reverses the order and turns minimal
     representatives into longest ones, so that is [w, x] lying in the
-    block, which is mu(w, x) != 0.
+    block, which is mu(w, x) != 0.  So x fails iff the sum of
+    (-1)^l(u) (P_{x'u,z} - 1) is not 0 (`_correction_sum`).  Only the y
+    whose key is stored in column z add to it.  If the column is empty,
+    every such sum is 0 and w is exact without reading one.
 
-    Shared sums.  For s in D_L(z), P_{sy,z} = P_{y,z}, and y <= z iff
-    sy <= z.  Left multiplication by s maps x'W_J onto s x'W_J with the
-    same u, or fixes it and pairs its terms with opposite signs, which
-    sums to 0.  So the sum depends only on the double coset
-    W_{D_L(z)} x' W_J, and is computed once per double coset, keyed by its
-    maximum: the left climb of z's table key applied to the top of x'W_J.
+    One x per double coset.  For s in D_L(z), P_{sy,z} = P_{y,z}, and
+    y <= z iff sy <= z.  Left multiplication by s maps x'W_J onto s x'W_J
+    with the same u, or fixes it and pairs its terms with opposite signs,
+    which sums to 0.  This holds for the ones as well, so the correction
+    sum depends only on the double coset W_{D_L(z)} x' W_J.  Left
+    multiplication by w0 maps that onto W_K x W_J with
+    K = w0 D_L(z) w0 = D_L(w w0), the complement of D_L(w), as s w w0 < w w0
+    iff s w > w.  By the two climbs of `klpoly`'s docstring, an element with
+    every s in K as a left and every t in J as a right descent is the
+    maximum M of its double coset W_K M W_J.  So the longest
+    representatives x >= w in t._lf[w w0] are one x per double coset, each
+    coset's maximum, which is >= w as any of its x is.  Each tried double
+    coset is recorded by the maximum of W_{D_L(z)} x' W_J, the left climb of
+    the top of x'W_J in column z's key, so a witness's is not tried again.
     """
-    lw0 = b.group.lmul_w0_indices()
     zi = lw0[wi]
     if not t._cols[zi]:
         return -1
+    g = b.group
     coset, signs = b._coset, b._signs
     cl = t._keys[zi][0]
-    sums: dict[int, int] = {}
-    for xi, nonzero in _mobius_row(b, wi, first):
+    reps = up_masks(g)[wi] & b._maxrep_mask
+    inv = g._inv
+    tops = t._lf[inv[lw0[inv[wi]]]]  # lf at w w0: the double-coset maxima
+    seen = set()
+    # lazily, as most w stop among the witnesses
+    for xi in chain.from_iterable(map(iter_indices, (reps & first, reps & tops))):
         c = coset[lw0[xi]]
         m = cl[c[-1]]
-        p = sums.get(m)
-        if p is None:
-            p = sums[m] = _coset_sum(t, c, signs, zi)
-        if p != nonzero:  # |mu(w, x)| is 1 or 0
-            return xi
+        if m not in seen:
+            seen.add(m)
+            if _correction_sum(t, c, signs, zi):
+                return xi
     return -1
 
 
 def nonkostant_block(g: WeylGroup, S, t: KLTable) -> list[Element]:
     """All longest representatives whose singular complex is not exact, in
     index order.  The scan runs top-down; each w first tries the witnesses,
-    the x at which a higher representative failed.  A w whose KL column at
-    w0 w is all ones is exact at once, and the others compute one sum per
-    double coset (see `_failing_rep`)."""
+    the x at which a higher representative failed, then one x per double
+    coset.  A w whose KL column at w0 w is all ones is exact at once (see
+    `_failing_rep`)."""
     check_same_group(g, t)
     b = make_block(g, S)
+    lw0 = g.lmul_w0_indices()
     witnesses = 0
     bad = []
     for wi in reversed(b._maxrep_indices):
-        xi = _failing_rep(wi, b, t, witnesses)
+        xi = _failing_rep(wi, b, t, witnesses, lw0)
         if xi >= 0:
             witnesses |= 1 << xi
             bad.append(wi)
@@ -343,4 +364,4 @@ def s_category_has_bgg(w: Element, b: SingularBlock, t: KLTable) -> bool:
         raise DomainError(
             f"{w!r} is not a longest right-coset representative"
         )
-    return _failing_rep(wi, b, t, 0) < 0
+    return _failing_rep(wi, b, t, 0, b.group.lmul_w0_indices()) < 0

@@ -71,8 +71,9 @@ every stored y against the Bruhat order and the fixed-point masks included,
 decodes every column and rebuilds the climb lists, so a loaded table is the
 table a build gives.
 
-`_coset_sum` is the one signed sum over a column, read by the rule above;
-`complexes` sums a block's cosets with it.
+`_coset_sum` is the signed sum of P_{y,z} over a column, read by the rule
+above; `_correction_sum` sums P_{y,z} - 1 instead, which only the stored
+entries add to.  `complexes` sums a block's cosets with them.
 """
 
 from __future__ import annotations
@@ -189,13 +190,13 @@ def _climb(rows: list[list[int]], gens: int, ident: list[int]) -> list[int]:
 
 
 def _climb_keys(g: WeylGroup) -> tuple[list[tuple[list[int], list[int]]],
-                                       list[tuple[int, int]]]:
-    """(keys, fixed) with keys[w] = (cl, cr), the climbs of y to the longest
-    element of W_I y and of y W_J for I = D_L(w) and J = D_R(w), and
-    fixed[w] = (lf, rf), the masks of the y that cl and cr fix: the y with
-    every s in I as a left, and every t in J as a right, descent.  A climb
-    list and its mask are built once per descent set and side, and shared by
-    every w with that set there; e's key is the identity twice.
+                                       list[int], list[int]]:
+    """(keys, lf, rf) with keys[w] = (cl, cr), the climbs of y to the longest
+    element of W_I y and of y W_J for I = D_L(w) and J = D_R(w), and lf[w]
+    and rf[w] the masks of the y that cl and cr fix: the y with every s in I
+    as a left, and every t in J as a right, descent.  A climb list and its
+    mask are built once per descent set and side, and shared by every w with
+    that set there; e's key is the identity twice.
 
     Only the left climbs are walked.  y W_J is the inverse of W_J y^-1, so
     the right climb for J is cr[y] = inv[cl[inv[y]]] with cl the left one
@@ -218,9 +219,10 @@ def _climb_keys(g: WeylGroup) -> tuple[list[tuple[list[int], list[int]]],
         fix = [*compress(ident, map(eq, c, ident))]
         climbs[mask] = (c, [*map(inv.__getitem__, map(c.__getitem__, inv))],
                         index_mask(fix), index_mask(map(inv.__getitem__, fix)))
-    sides = [(climbs[desc[wi]], climbs[desc[vi]]) for wi, vi in zip(ident, inv)]
-    return ([(left[0], right[1]) for left, right in sides],
-            [(left[2], right[3]) for left, right in sides])
+    left = [*map(climbs.__getitem__, desc)]
+    right = [*map(left.__getitem__, inv)]
+    return ([(lc[0], rc[1]) for lc, rc in zip(left, right)],
+            [lc[2] for lc in left], [rc[3] for rc in right])
 
 
 class KLTable:
@@ -230,9 +232,11 @@ class KLTable:
     read as 0, a comparable pair as _cols[w].get(cl[cr[y]], 1) with
     (cl, cr) = _keys[w] from _climb_keys.  _cols[w] maps each stored y, a
     double-coset maximum, to P_{y,w} packed at q = 2**_WIDTH, in increasing
-    y; len() counts the stored entries.  _pool maps each distinct stored
-    value to its coefficient tuple, and _cmax is the largest coefficient in
-    absolute value (at least 1).  A signed sum reads at most one entry per
+    y; len() counts the stored entries.  _lf[w] masks the y that cl fixes,
+    the y with D_L(w) in D_L(y), one int shared per descent set; the
+    exactness scan reads it.  _pool maps each distinct stored value to its
+    coefficient tuple, and _cmax is the largest coefficient in absolute
+    value (at least 1).  A signed sum reads at most one entry per
     element of W, so _cmax * |W| bounds its coefficients; the table checks
     that bound once, and the sums do not check it again.
     """
@@ -243,11 +247,11 @@ class KLTable:
         self._down = down_masks(group)
         if _entries is None:
             _entries = self._build()
-        self._cols, self._keys, self._pool, self._cmax = _entries
+        self._cols, self._keys, self._lf, self._pool, self._cmax = _entries
         _check_width(self._cmax * group.order)
 
     def _build(self) -> tuple[list[dict[int, int]], list[tuple[list[int], list[int]]],
-                              dict[int, Coeffs], int]:
+                              list[int], dict[int, Coeffs], int]:
         """Columns in index order: the recursion on the smallest index of
         each orbit of g._symmetries(), and a copy through phi for the rest
         of the orbit (module docstring).  A column reads only smaller ones,
@@ -262,7 +266,7 @@ class KLTable:
         n = g.order
         cols: list[dict[int, int]] = [{} for _ in range(n)]
         # column w is read at cl[cr[y]] for (cl, cr) = keys[w]
-        keys, fixed = _climb_keys(g)
+        keys, lfs, rfs = _climb_keys(g)
         # mu_rows[w]: the (z, mu(z, w)) with mu != 0, the covers first; each
         # row but e's empty one is set when its column is built or copied
         lower = cover_graph(g).lower
@@ -293,10 +297,9 @@ class KLTable:
                                 mu << width * ((lw - lengths[zi]) // 2)))
                     mu_sum += mu
             _check_width((2 + mu_sum) * cmax)
-            lf, rf = fixed[wi]
             col = cols[wi]
             row_mu = mu_rows[wi] = [(zi, 1) for zi in lower[wi]]
-            for yi in iter_indices(down[wi] & lf & rf):  # the extremal y <= w
+            for yi in iter_indices(down[wi] & lfs[wi] & rfs[wi]):  # the extremal y <= w
                 p = col_v.get(clv[crv[sl[yi]]], 1)  # s y <= v by the lifting property
                 if down_v >> yi & 1:
                     p += col_v.get(clv[crv[yi]], 1) << width
@@ -327,7 +330,7 @@ class KLTable:
                     copied[ui] = 1
                     cols[ui] = dict(sorted(zip(map(phi.__getitem__, col), col.values())))
                     mu_rows[ui] = [(phi[zi], mu) for zi, mu in row_mu]
-        return cols, keys, pool, cmax
+        return cols, keys, lfs, pool, cmax
 
     # -- reads -----------------------------------------------------------------
 
@@ -374,6 +377,21 @@ def _coset_sum(t: KLTable, ys, signs, zi: int) -> int:
     for yi, sign in zip(ys, signs):
         if down_z >> yi & 1:
             acc += sign * col.get(cl[cr[yi]], 1)
+    return acc
+
+
+def _correction_sum(t: KLTable, ys, signs, zi: int) -> int:
+    """Sum of sign * (P_{y, z} - 1) over the y <= z in zip(ys, signs), packed.
+
+    Only a y whose key m = cl[cr[y]] is stored adds, and y <= m <= z then.
+    """
+    col = t._cols[zi]
+    cl, cr = t._keys[zi]
+    acc = 0
+    for yi, sign in zip(ys, signs):
+        p = col.get(cl[cr[yi]])
+        if p is not None:
+            acc += sign * (p - 1)
     return acc
 
 
@@ -517,9 +535,9 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
     values = [_pack(p) for p in pool]
     if len(set(values)) != n_polys:
         raise InputError(f"{path}: corrupt cache file (pool polynomial repeated)")
-    keys, fixed = _climb_keys(g)
+    keys, lfs, rfs = _climb_keys(g)
     cols = []
-    for wi, down, (lf, rf), b, e in zip(range(n), down_masks(g), fixed, bounds, bounds[1:]):
+    for wi, down, lf, rf, b, e in zip(range(n), down_masks(g), lfs, rfs, bounds, bounds[1:]):
         col_ys = ys[b:e]
         if col_ys:
             if any(map(ge, col_ys, col_ys[1:])):
@@ -534,6 +552,6 @@ def _decode_table(g: WeylGroup, path, data: bytes) -> KLTable:
         cols.append(dict(zip(col_ys, map(values.__getitem__, ks[b:e]))))
     cmax = max((abs(c) for p in pool for c in p), default=1)
     try:
-        return KLTable(g, _entries=(cols, keys, dict(zip(values, pool)), cmax))
+        return KLTable(g, _entries=(cols, keys, lfs, dict(zip(values, pool)), cmax))
     except AssertionError:  # the table's width check
         raise InputError(f"{path}: corrupt cache file (coefficient out of range)") from None

@@ -35,9 +35,9 @@ def mobius_lambda(w: Element, x: Element, b: SingularBlock) -> int:
     return -1 if (x.length - w.length) % 2 else 1
 
 
-def _mobius_row(b: SingularBlock, wi: int, first: int = 0):
-    """(xi, mu(w, x) != 0) for the longest representatives x >= w = w_wi:
-    those in mask `first` in increasing index order, then the others.
+def _mobius_row(b: SingularBlock, wi: int):
+    """(xi, mu(w, x) != 0) for the longest representatives x >= w = w_wi,
+    in increasing index order.
 
     Both endpoints lie in the block, so mu(w, x) vanishes iff some element
     above w outside the block lies below x.
@@ -46,10 +46,8 @@ def _mobius_row(b: SingularBlock, wi: int, first: int = 0):
     up = up_masks(g)[wi]
     down = down_masks(g)
     outside = up & ~b._maxrep_mask
-    reps = up & b._maxrep_mask
-    for mask in (reps & first, reps & ~first):
-        for xi in iter_indices(mask):
-            yield xi, not outside & down[xi]
+    for xi in iter_indices(up & b._maxrep_mask):
+        yield xi, not outside & down[xi]
 
 
 class GradedSupport(namedtuple("GradedSupport", "base strata block")):

@@ -43,7 +43,7 @@ from singbgg import (
     translate_skeleton,
 )
 from singbgg import complexes
-from singbgg.bruhat import iter_indices, up_masks
+from singbgg.bruhat import index_mask, iter_indices, up_masks
 from singbgg.errors import DomainError, InputError
 
 # Upper interval of s1s2 in A3: vertex words and its 22 cover arrows
@@ -407,8 +407,10 @@ def _kostant_by_pairs(w, b, t):
                for x in b.max_reps if leq(w, x))
 
 
-@pytest.mark.parametrize("fam,rank", RANK_LE_3)
+@pytest.mark.parametrize("fam,rank", RANK_LE_3 + [("A", 4), ("B", 4), ("D", 4)])
 def test_exactness_matches_pairwise_definition(fam, rank):
+    # is_kostant passes no witnesses, so it tries one x per double coset
+    # only; the pairwise test reads every x and the Möbius value
     g = get_group(fam, rank)
     t = get_table(fam, rank)
     for S in all_singularities(rank):
@@ -423,16 +425,18 @@ def test_witness_scan_work_count(monkeypatch):
     # Pair sums over all 64 blocks of A4, B4, D4 and F4: 253,831 when every
     # representative scans its row in index order, 89,616 witnesses first,
     # and 13,883 once a KL column of all ones decides w on its own and each
-    # sum is computed once per double coset W_{D_L(w w0)} (x w0) W_J.
+    # sum is computed once per double coset W_{D_L(w w0)} (x w0) W_J.  Now
+    # the x past the witnesses are the double-coset maxima alone, and a
+    # witness's double coset is not summed again: 12,552 correction sums.
     calls = 0
-    coset_sum = complexes._coset_sum
+    correction_sum = complexes._correction_sum
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return coset_sum(*args)
+        return correction_sum(*args)
 
-    monkeypatch.setattr(complexes, "_coset_sum", counted)
+    monkeypatch.setattr(complexes, "_correction_sum", counted)
     bad = 0
     for fam in "ABDF":
         g = get_group(fam, 4)
@@ -441,7 +445,49 @@ def test_witness_scan_work_count(monkeypatch):
             bad += len(nonkostant_block(g, S, t))
     assert bad == 5540
     assert calls <= 100_000
-    assert calls == 13_883
+    assert calls == 12_552
+
+
+@pytest.mark.parametrize("fam,rank", RANK_LE_3 + [("A", 4)])
+def test_coset_sum_is_mobius_plus_correction(fam, rank):
+    # The scan compares the correction sum, of sign * (P - 1), with 0: the
+    # ones part of the dominant-side sum is |mu(w, x)| on every comparable
+    # pair of longest representatives (Eulerian intervals, `_failing_rep`).
+    g, t = get_group(fam, rank), get_table(fam, rank)
+    lw0, up = g.lmul_w0_indices(), up_masks(g)
+    pairs = 0
+    for S in all_singularities(rank):
+        b = make_block(g, S)
+        for w in b.max_reps:
+            zi = lw0[w.index]
+            for xi in iter_indices(up[w.index] & b._maxrep_mask):
+                c = b._coset[lw0[xi]]
+                mu = mobius_lambda(w, g.element_by_index(xi), b)
+                assert complexes._coset_sum(t, c, b._signs, zi) == (
+                    abs(mu) + complexes._correction_sum(t, c, b._signs, zi)), (S, w, xi)
+                pairs += 1
+    assert pairs
+
+
+@pytest.mark.parametrize("fam,rank", RANK_LE_3 + [("A", 4)])
+def test_scan_mask_is_one_x_per_double_coset(fam, rank):
+    # Past the witnesses the scan reads the longest representatives
+    # x >= w in t._lf[w w0], which must be exactly the maxima of the double
+    # cosets W_K x W_S with K the complement of D_L(w), found here by closure.
+    g, t = get_group(fam, rank), get_table(fam, rank)
+    lw0, inv, lmul, up = g.lmul_w0_indices(), g._inv, g._lmul, up_masks(g)
+    tops = {}
+    for S in all_singularities(rank):
+        b = make_block(g, S)
+        right = sum(1 << (s - 1) for s in S)
+        for wi in b._maxrep_indices:
+            left = sum(1 << s for s in range(rank) if lmul[s][wi] > wi)
+            if (left, right) not in tops:
+                tops[left, right] = double_coset_maxima(g, left, right)
+            top = tops[left, right]
+            reps = up[wi] & b._maxrep_mask
+            mask = reps & t._lf[inv[lw0[inv[wi]]]]
+            assert mask == index_mask({top[xi] for xi in iter_indices(reps)}), (S, wi)
 
 
 @pytest.mark.parametrize("fam,rank", RANK_LE_3 + [("A", 4), ("B", 4), ("D", 4)])

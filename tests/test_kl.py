@@ -218,22 +218,27 @@ def test_extremal_recursion_work_count(monkeypatch):
 def test_extremal_masks_are_the_descent_rule(fam, rank, budget):
     # the extremal y <= w, read off the climbs' fixed points as
     # down[w] & lf & rf, are the y <= w with every s in D_L(w) as a left and
-    # every t in D_R(w) as a right descent, here ANDed descent by descent
+    # every t in D_R(w) as a right descent, here ANDed descent by descent;
+    # the table keeps lf, which the exactness scan reads
     g = get_group(fam, rank, budget)
-    _, fixed = klpoly._climb_keys(g)
+    _, lfs, rfs = klpoly._climb_keys(g)
     lmul, rmul = g._lmul, g._rmul
     n = g.order
     gens = range(g.rank)
     # masks of the y with s y < y (y s < y)
     left_desc = [index_mask(y for y in range(n) if row[y] < y) for row in lmul]
     right_desc = [index_mask(y for y in range(n) if row[y] < y) for row in rmul]
-    for wi, (down, (lf, rf)) in enumerate(zip(down_masks(g), fixed)):
+    assert get_table(fam, rank, budget)._lf == lfs
+    for wi, (down, lf, rf) in enumerate(zip(down_masks(g), lfs, rfs)):
+        left = (1 << n) - 1
         ext = down
         for t in gens:
             if lmul[t][wi] < wi:
+                left &= left_desc[t]
                 ext &= left_desc[t]
             if rmul[t][wi] < wi:
                 ext &= right_desc[t]
+        assert lf == left, wi
         assert down & lf & rf == ext, wi
 
 
@@ -524,6 +529,7 @@ def test_loaded_table_is_the_built_table(tmp_path, fam, rank, stored):
     assert len(t2) == len(t) == stored
     assert t2._cols == t._cols
     assert t2._keys == t._keys
+    assert t2._lf == t._lf
     assert (t2._pool, t2._cmax) == (t._pool, t._cmax)
 
 
